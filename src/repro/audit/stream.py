@@ -342,10 +342,11 @@ class StreamingCrossChecker:
         elif entry.entry_type is EntryType.RECV:
             message_id = str(content.get("message_id"))
             payload = content.get("payload")
-            if payload is not None:
+            logged_hash = content.get("payload_hash")
+            if payload is not None and logged_hash is not None:
                 from repro.crypto import hashing
                 actual = hashing.hash_bytes(bytes.fromhex(payload)).hex()
-                if actual != content.get("payload_hash"):
+                if actual != logged_hash:
                     self.problems.append(
                         f"RECV {message_id}: logged payload does not match "
                         f"its logged hash")

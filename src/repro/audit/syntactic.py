@@ -6,6 +6,13 @@ acknowledgment verify, each message was acknowledged, and the sequence of
 sent and received messages corresponds to the sequence of messages that enter
 and exit the AVM.  All of this is independent of the reference image; it only
 needs the log and the parties' public keys.
+
+A RECV entry is checked by the recipe of its content version
+(:func:`~repro.log.entries.is_authenticated_recv`).  Current entries log the
+sender's authenticator: ``h_i`` of the sender's SEND entry is recomputed from
+the logged ``h_{i-1}``, sequence and payload, and the signature must verify
+over it.  Older entries log an envelope signature over (source, destination,
+message id, kind, payload hash), which is re-verified as such.
 """
 
 from __future__ import annotations
@@ -16,20 +23,24 @@ from typing import Dict, List, Optional, Set
 from repro.crypto import hashing
 from repro.crypto.keys import KeyStore
 from repro.errors import LogFormatError
-from repro.log.entries import EntryType, LogEntry
+from repro.log.authenticator import send_chain_hash, signed_payload
+from repro.log.entries import EntryType, LogEntry, is_authenticated_recv
 from repro.log.segments import LogSegment
 
 # Fields every entry of a given type must carry to be considered well-formed.
 _REQUIRED_FIELDS: Dict[EntryType, Set[str]] = {
     EntryType.SEND: {"destination", "payload_hash", "payload_size", "message_id"},
-    EntryType.RECV: {"source", "payload_hash", "payload_size", "message_id",
-                     "sender_signature"},
+    EntryType.RECV: {"source", "message_id", "sender_sequence",
+                     "sender_previous_hash", "sender_signature", "payload"},
     EntryType.ACK: {"peer", "message_id", "direction"},
     EntryType.SNAPSHOT: {"snapshot_id", "state_root", "execution_counter"},
     EntryType.TIMETRACKER: {"event_kind", "execution_counter"},
     EntryType.MACLAYER: {"direction", "message_id", "execution_counter"},
     EntryType.NONDET: {"event_kind", "execution_counter"},
 }
+#: RECV content logged with an envelope signature (older logs)
+_ENVELOPE_RECV_FIELDS = {"source", "payload_hash", "payload_size", "message_id",
+                         "sender_signature"}
 
 
 @dataclass
@@ -124,7 +135,6 @@ class SyntacticChecker:
 
     @staticmethod
     def _check_format(entry: LogEntry, report: SyntacticReport) -> None:
-        required = _REQUIRED_FIELDS.get(entry.entry_type, set())
         try:
             fields = set(entry.content)
         except LogFormatError as exc:
@@ -134,6 +144,11 @@ class SyntacticChecker:
             report.add(f"entry {entry.sequence} ({entry.entry_type.wire_name}) "
                        f"carries unparseable content: {exc}")
             return
+        if entry.entry_type is EntryType.RECV \
+                and not is_authenticated_recv(entry.content):
+            required = _ENVELOPE_RECV_FIELDS
+        else:
+            required = _REQUIRED_FIELDS.get(entry.entry_type, set())
         missing = required - fields
         if missing:
             report.add(f"entry {entry.sequence} ({entry.entry_type.wire_name}) "
@@ -146,23 +161,40 @@ class SyntacticChecker:
         """Verify the sender's signature logged with an incoming message."""
         if not self.verify_sender_signatures or self.keystore is None:
             return
-        signature_hex = entry.content.get("sender_signature", "")
-        source = str(entry.content.get("source", ""))
+        content = entry.content
+        signature_hex = content.get("sender_signature", "")
+        source = str(content.get("source", ""))
+        authenticated = is_authenticated_recv(content)
         if not signature_hex:
+            if authenticated and content.get("sender_sequence") == 0 \
+                    and self.keystore.has_identity(source):
+                report.add(f"entry {entry.sequence}: message from {source!r} "
+                           f"arrived without a usable authenticator")
             return  # unsigned traffic (nosig configurations)
         if not self.keystore.has_identity(source):
             report.add(f"entry {entry.sequence}: no certificate for sender {source!r}")
             return
-        payload_hash = bytes.fromhex(str(entry.content.get("payload_hash", "")))
-        kind = str(entry.content.get("kind", "data"))
-        signed = hashing.hash_concat(
-            source.encode("utf-8"),
-            machine.encode("utf-8"),
-            str(entry.content.get("message_id", "")).encode("utf-8"),
-            kind.encode("utf-8"),
-            payload_hash,
-        )
-        if not self.keystore.verify(source, signed, bytes.fromhex(signature_hex)):
+        message_id = str(content.get("message_id", ""))
+        try:
+            if authenticated:
+                sequence = int(content["sender_sequence"])
+                signed = signed_payload(sequence, send_chain_hash(
+                    bytes.fromhex(content["sender_previous_hash"]), sequence,
+                    machine, bytes.fromhex(content["payload"]), message_id))
+            else:
+                signed = hashing.hash_concat(
+                    source.encode("utf-8"),
+                    machine.encode("utf-8"),
+                    message_id.encode("utf-8"),
+                    str(content.get("kind", "data")).encode("utf-8"),
+                    bytes.fromhex(str(content.get("payload_hash", ""))),
+                )
+            signature = bytes.fromhex(signature_hex)
+        except (KeyError, TypeError, ValueError) as exc:
+            report.add(f"entry {entry.sequence}: malformed sender signature "
+                       f"fields from {source!r}: {exc}")
+            return
+        if not self.keystore.verify(source, signed, signature):
             report.add(f"entry {entry.sequence}: sender signature from {source!r} "
                        f"does not verify (possible forged message)")
         else:
@@ -179,10 +211,13 @@ class SyntacticChecker:
                 report.add(f"packet {message_id} entered the AVM (sequence "
                            f"{entry.sequence}) but has no RECV entry")
                 continue
+            # Only envelope-signed RECV content logs the payload hash; the
+            # current version derives it (its signature check covers it).
             recv_payload = recv.content.get("payload")
-            if recv_payload is not None:
+            logged_hash = recv.content.get("payload_hash")
+            if recv_payload is not None and logged_hash is not None:
                 actual_hash = hashing.hash_bytes(bytes.fromhex(recv_payload)).hex()
-                if actual_hash != recv.content.get("payload_hash"):
+                if actual_hash != logged_hash:
                     report.add(f"RECV {message_id}: logged payload does not match "
                                f"its logged hash")
         for message_id, entry in mac_out.items():

@@ -6,8 +6,9 @@ and implements the machinery of Sections 4.3–4.4:
 * every nondeterministic input (clock reads, timer interrupts, packet
   deliveries, local input) is recorded with its execution timestamp;
 * every incoming and outgoing message is entered into the tamper-evident log,
-  outgoing messages carry a signature and an authenticator, incoming messages
-  are acknowledged with an authenticator of the RECV entry;
+  outgoing messages carry the authenticator of their SEND entry as their only
+  signature, incoming messages are acknowledged with an authenticator of the
+  RECV entry;
 * the AVM state is snapshotted periodically, and the hash-tree root of each
   snapshot is logged;
 * the monitor keeps the authenticators it has received from its peers so the
@@ -29,9 +30,10 @@ from typing import Any, Dict, List, Optional
 from repro.avmm.clockopt import ClockReadOptimizer
 from repro.avmm.config import AvmmConfig
 from repro.avmm.recorder import ExecutionRecorder
+from repro.crypto import hashing
 from repro.crypto.keys import KeyPair, KeyStore
 from repro.errors import VMError
-from repro.log.authenticator import Authenticator
+from repro.log.authenticator import Authenticator, send_chain_hash, signed_payload
 from repro.log.codec import get_codec, require_format_version
 from repro.log.entries import EntryType, ack_content, recv_content, send_content
 from repro.log.segments import LogSegment
@@ -86,7 +88,6 @@ class AccountableVMM:
         self.config = config
         self.scheduler = scheduler
         self.network = network
-        self.keypair = keypair if config.signs_packets else keypair
         self.keystore = keystore
         self.perf = PerfModel.for_config(config)
         self.stats = MonitorStats()
@@ -99,6 +100,11 @@ class AccountableVMM:
         self._m_snapshots = metrics.counter("monitor.snapshots_total")
         self._m_segments_shipped = metrics.counter("monitor.segments_shipped_total")
         self._m_shipped_bytes = metrics.counter("monitor.shipped_bytes_total")
+        #: peer authenticators rejected at receive, by reason (the message
+        #: is still logged; the auditor re-checks what was logged)
+        self._m_rejected = {
+            reason: metrics.counter(f"monitor.authenticators_rejected.{reason}")
+            for reason in ("malformed", "binding", "signature")}
 
         self.host_clock = HostClock(scheduler.clock, offset=clock_offset,
                                     drift=clock_drift)
@@ -279,7 +285,11 @@ class AccountableVMM:
 
     def _send_guest_packet(self, packet: PacketOutput,
                            compute_seconds: float = 0.0) -> None:
-        """Log, sign and transmit a packet the guest produced."""
+        """Log, commit to and transmit a packet the guest produced.
+
+        The authenticator of the SEND entry is the message's only signature:
+        the receiver recomputes ``h_i`` from it and the message (Section 4.3).
+        """
         message = NetworkMessage(source=self.identity, destination=packet.destination,
                                  payload=packet.payload, kind=MessageKind.DATA,
                                  message_id=self._allocate_message_id())
@@ -289,12 +299,9 @@ class AccountableVMM:
             entry = self.log.append(EntryType.SEND, send_content(
                 destination=packet.destination, payload_hash=payload_hash,
                 payload_size=len(packet.payload), message_id=message.message_id))
-            authenticator = self.log.authenticator_for(entry)
-            message.authenticator = authenticator.to_dict()
-            if self.config.signs_packets and self.keypair is not None:
-                message.signature = self.keypair.sign(message.signed_payload())
-                self.stats.signatures_generated += 1
-            self._charge_daemon_for_entry(entry.size_bytes(), signed=1 if message.signature else 0)
+            message.authenticator = self._authenticate(entry)
+            self._charge_daemon_for_entry(
+                entry.size_bytes(), signed=1 if message.authenticator.signature else 0)
         if self.config.record_replay_info:
             self.recorder.record_packet_out(
                 self.vm.execution_timestamp, packet.destination, payload_hash,
@@ -343,25 +350,23 @@ class AccountableVMM:
             return
 
         if self.config.tamper_evident and not duplicate:
-            if message.signature and self.keystore is not None \
-                    and self.keystore.has_identity(message.source):
-                # The AVMM verifies and logs the signature so auditors can
-                # re-check it (Section 4.3); a bad signature is still logged —
-                # the syntactic check will flag it.
-                self.keystore.verify(message.source, message.signed_payload(),
-                                     message.signature)
-                self.stats.signatures_verified += 1
-            entry = self.log.append(EntryType.RECV, {
-                **recv_content(source=message.source,
-                               payload_hash=message.payload_hash(),
-                               payload_size=len(message.payload),
-                               message_id=message.message_id,
-                               sender_signature=message.signature),
-                "payload": message.payload.hex(),
-                "kind": message.kind.value,
-            })
+            # The AVMM checks the sender's authenticator and logs it so
+            # auditors can re-check it (Section 4.3); a rejected one is still
+            # logged — the syntactic check will flag it.
+            authenticator = self._accept_authenticator(message)
+            if authenticator is None:
+                # Sequence 0 commits to nothing: the auditor flags it.
+                sequence, previous_hash, signature = 0, hashing.ZERO_HASH, b""
+            else:
+                sequence = authenticator.sequence
+                previous_hash = authenticator.previous_hash
+                signature = authenticator.signature
+            entry = self.log.append(EntryType.RECV, recv_content(
+                source=message.source, message_id=message.message_id,
+                payload=message.payload, kind=message.kind.value,
+                sender_sequence=sequence, sender_previous_hash=previous_hash,
+                sender_signature=signature))
             self._charge_daemon_for_entry(entry.size_bytes())
-            self._store_peer_authenticator(message)
             self._recv_entry_for[message.message_id] = entry.sequence
             self._send_ack(message, entry_sequence=entry.sequence)
 
@@ -382,19 +387,15 @@ class AccountableVMM:
         ack_entry = self.log.append(EntryType.ACK, ack_content(
             peer=message.source, message_id=message.message_id,
             direction="sent", acked_sequence=entry_sequence))
-        recv_entry = self.log.entry_at(entry_sequence)
-        authenticator = self.log.authenticator_for(recv_entry)
+        authenticator = self._authenticate(self.log.entry_at(entry_sequence))
         ack = NetworkMessage(source=self.identity, destination=message.source,
                              payload=b"", kind=MessageKind.ACK,
                              message_id=self._allocate_message_id(),
-                             authenticator=authenticator.to_dict(),
+                             authenticator=authenticator,
                              headers={"acked_message_id": message.message_id})
-        if self.config.signs_packets and self.keypair is not None:
-            ack.signature = self.keypair.sign(ack.signed_payload())
-            self.stats.signatures_generated += 1
         self.stats.acks_sent += 1
         self._charge_daemon_for_entry(ack_entry.size_bytes(),
-                                      signed=1 if ack.signature else 0)
+                                      signed=1 if authenticator.signature else 0)
         if self.channel is not None:
             delay = self.perf.ack_generation_delay()
             if delay > 0:
@@ -412,23 +413,54 @@ class AccountableVMM:
                 peer=message.source, message_id=acked_id,
                 direction="received", acked_sequence=0))
             self._charge_daemon_for_entry(entry.size_bytes())
-            self._store_peer_authenticator(message)
-            if message.signature and self.keystore is not None \
-                    and self.keystore.has_identity(message.source):
-                self.keystore.verify(message.source, message.signed_payload(),
-                                     message.signature)
-                self.stats.signatures_verified += 1
+            self._accept_authenticator(message)
         if self.channel is not None and acked_id:
             self.channel.acknowledge(acked_id)
 
-    def _store_peer_authenticator(self, message: NetworkMessage) -> None:
-        if not message.authenticator:
-            return
-        try:
-            authenticator = Authenticator.from_dict(message.authenticator)
-        except Exception:  # noqa: BLE001 - malformed authenticators are ignored here
-            return
+    def _authenticate(self, entry) -> Authenticator:
+        """The authenticator for one of our entries (signed when we sign)."""
+        authenticator = self.log.authenticator_for(entry)
+        if authenticator.signature:
+            self.stats.signatures_generated += 1
+        return authenticator
+
+    def _accept_authenticator(self, message: NetworkMessage) -> Optional[Authenticator]:
+        """Keep the authenticator a peer attached to ``message`` and check it.
+
+        A DATA message's authenticator must commit to the sender's SEND entry
+        for this very message: ``h_i`` is recomputed from its ``h_{i-1}`` and
+        sequence plus the message, and the signature is checked over that.
+        An ACK's must be a consistent commitment to the peer's RECV entry.
+        A rejection is counted by reason (malformed, binding, signature) and
+        never drops the message; returns ``None`` only when there is nothing
+        usable to keep.
+        """
+        authenticator = message.authenticator
+        if not isinstance(authenticator, Authenticator):
+            self._m_rejected["malformed"].inc()
+            return None
         self.received_authenticators.setdefault(message.source, []).append(authenticator)
+        if not authenticator.signature or self.keystore is None \
+                or not self.keystore.has_identity(message.source):
+            return authenticator  # unsigned traffic (nosig configurations)
+        if message.kind is MessageKind.ACK:
+            chain_hash = authenticator.recomputed_chain_hash()
+            bound = authenticator.entry_type == EntryType.RECV.wire_name
+        else:
+            chain_hash = send_chain_hash(
+                authenticator.previous_hash, authenticator.sequence,
+                self.identity, message.payload, message.message_id)
+            bound = True
+        if not bound or authenticator.machine != message.source \
+                or chain_hash != authenticator.chain_hash:
+            self._m_rejected["binding"].inc()
+            return authenticator
+        self.stats.signatures_verified += 1
+        if not self.keystore.verify(message.source,
+                                    signed_payload(authenticator.sequence, chain_hash),
+                                    authenticator.signature):
+            self._m_rejected["signature"].inc()
+        return authenticator
 
     def _on_give_up(self, message: NetworkMessage) -> None:
         """A peer failed to acknowledge after repeated retransmissions."""

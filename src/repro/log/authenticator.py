@@ -16,6 +16,8 @@ from repro.crypto import hashing
 from repro.crypto.keys import KeyPair, KeyStore
 from repro.crypto.signatures import BatchVerifyResult
 from repro.errors import LogFormatError
+from repro.log.entries import EntryType, send_content
+from repro.log.hashchain import chain_hash as _chain_hash
 
 
 @dataclass(frozen=True)
@@ -39,17 +41,35 @@ class Authenticator:
         """The byte string covered by the signature: ``s_i || h_i``."""
         return signed_payload(self.sequence, self.chain_hash)
 
-    def verify(self, keystore: KeyStore) -> bool:
-        """Verify the signature and internal consistency of the authenticator."""
-        recomputed = hashing.hash_concat(
+    def recomputed_chain_hash(self) -> bytes:
+        """``h_i`` recomputed from the advertised ``h_{i-1}``, type and content hash."""
+        return hashing.hash_concat(
             self.previous_hash,
             hashing.encode_int(self.sequence),
             self.entry_type.encode("utf-8"),
             self.content_hash,
         )
-        if recomputed != self.chain_hash:
+
+    def verify(self, keystore: KeyStore) -> bool:
+        """Verify the signature and internal consistency of the authenticator."""
+        if self.recomputed_chain_hash() != self.chain_hash:
             return False
         return keystore.verify(self.machine, self.signed_payload(), self.signature)
+
+    def wire_size(self) -> int:
+        """Bytes the authenticator occupies in a message.
+
+        The machine name, an 8-byte sequence, the chain and previous hashes,
+        the signature and the entry type.  The content hash travels too,
+        except for a SEND entry's authenticator: it rides with the message it
+        commits to, from which the receiver recomputes the content hash.
+        """
+        size = (len(self.machine.encode("utf-8")) + 8 + len(self.chain_hash)
+                + len(self.previous_hash) + len(self.signature)
+                + len(self.entry_type.encode("utf-8")))
+        if self.entry_type != EntryType.SEND.wire_name:
+            size += len(self.content_hash)
+        return size
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialise for transport or storage."""
@@ -84,6 +104,22 @@ def signed_payload(sequence: int, chain_hash: bytes) -> bytes:
     return hashing.hash_concat(hashing.encode_int(sequence), chain_hash)
 
 
+def send_chain_hash(previous_hash: bytes, sequence: int, destination: str,
+                    payload: bytes, message_id: str) -> bytes:
+    """``h_i`` of the SEND entry that commits to one message (Section 4.3).
+
+    The receiver of a message recomputes it from the sender's ``h_{i-1}``
+    and ``s_i`` (both carried by the authenticator) and the message itself,
+    and so does an auditor later from the receiver's RECV entry.  The
+    authenticator's signature over ``(s_i, h_i)`` then proves the sender
+    logged a SEND of exactly this payload, to this destination, under this
+    message id.
+    """
+    return _chain_hash(previous_hash, sequence, EntryType.SEND, send_content(
+        destination=destination, payload_hash=hashing.hash_bytes(payload),
+        payload_size=len(payload), message_id=message_id))
+
+
 def batch_verify_authenticators(
         authenticators: Sequence[Authenticator],
         keystore) -> Tuple[List[Authenticator], List[int], BatchVerifyResult]:
@@ -111,13 +147,7 @@ def batch_verify_authenticators(
         if auth.machine != machine:
             raise LogFormatError(
                 f"batch mixes authenticators from {machine!r} and {auth.machine!r}")
-        recomputed = hashing.hash_concat(
-            auth.previous_hash,
-            hashing.encode_int(auth.sequence),
-            auth.entry_type.encode("utf-8"),
-            auth.content_hash,
-        )
-        if recomputed != auth.chain_hash:
+        if auth.recomputed_chain_hash() != auth.chain_hash:
             invalid.append(index)
         else:
             screenable.append(index)

@@ -23,7 +23,7 @@ class EntryType(enum.Enum):
     """Types of tamper-evident log entries."""
 
     SEND = "send"                  # outgoing network message
-    RECV = "recv"                  # incoming network message (with sender signature)
+    RECV = "recv"                  # incoming network message (with sender authenticator)
     ACK = "ack"                    # acknowledgment sent or received
     NONDET = "nondet"              # nondeterministic input event (replay stream)
     SNAPSHOT = "snapshot"          # hash-tree root of a VM snapshot
@@ -240,6 +240,7 @@ TAG_MACLAYER_IN = 0x08
 TAG_MACLAYER_OUT = 0x09
 TAG_NONDET = 0x0A
 TAG_ROW = 0x0B
+TAG_RECV_AUTH = 0x0C
 
 _JSON_FIRST_BYTE = 0x7B  # '{'
 
@@ -327,6 +328,11 @@ _SHAPE_SPECS: Dict[int, Tuple[Tuple[str, str], ...]] = {
         ("destination", "s"), ("message_id", "s"),
         ("payload_hash", "h32"), ("payload_size", "u64"),
     ),
+    # RECV content versions: TAG_RECV/TAG_RECV_PAYLOAD log the envelope
+    # signature of logs recorded before the authenticator became the only
+    # per-message signature; TAG_RECV_AUTH logs the sender's authenticator
+    # (s_i, h_{i-1}, sigma) and derives the payload hash and size from the
+    # logged payload (see repro.audit.syntactic for both recipes).
     TAG_RECV: (
         ("source", "s"), ("message_id", "s"), ("payload_hash", "h32"),
         ("payload_size", "u64"), ("sender_signature", "hex"),
@@ -334,6 +340,11 @@ _SHAPE_SPECS: Dict[int, Tuple[Tuple[str, str], ...]] = {
     TAG_RECV_PAYLOAD: (
         ("source", "s"), ("message_id", "s"), ("payload_hash", "h32"),
         ("payload_size", "u64"), ("sender_signature", "hex"),
+        ("payload", "hex"), ("kind", "s"),
+    ),
+    TAG_RECV_AUTH: (
+        ("source", "s"), ("message_id", "s"), ("sender_sequence", "u64"),
+        ("sender_previous_hash", "h32"), ("sender_signature", "hex"),
         ("payload", "hex"), ("kind", "s"),
     ),
     TAG_ACK: (
@@ -659,16 +670,35 @@ def send_content(destination: str, payload_hash: bytes, payload_size: int,
     }
 
 
-def recv_content(source: str, payload_hash: bytes, payload_size: int,
-                 message_id: str, sender_signature: bytes) -> Dict[str, Any]:
-    """Content dictionary for a RECV entry (includes the sender's signature)."""
+def recv_content(source: str, message_id: str, payload: bytes, kind: str,
+                 sender_sequence: int, sender_previous_hash: bytes,
+                 sender_signature: bytes) -> Dict[str, Any]:
+    """Content dictionary for a RECV entry.
+
+    Logs the message and the sender's authenticator for it — the SEND
+    entry's sequence ``s_i``, the sender's ``h_{i-1}`` and the signature
+    over ``(s_i, h_i)`` — so an auditor can recompute ``h_i`` from the
+    logged payload and re-verify the signature.  The payload hash and size
+    are not stored: the logged payload determines them.
+    """
     return {
         "source": source,
-        "payload_hash": payload_hash.hex(),
-        "payload_size": payload_size,
         "message_id": message_id,
+        "sender_sequence": sender_sequence,
+        "sender_previous_hash": sender_previous_hash.hex(),
         "sender_signature": sender_signature.hex(),
+        "payload": payload.hex(),
+        "kind": kind,
     }
+
+
+def is_authenticated_recv(content: Dict[str, Any]) -> bool:
+    """Whether RECV content logs the sender's authenticator (TAG_RECV_AUTH).
+
+    Older RECV content logs an envelope signature instead; the auditor
+    verifies each version with its own recipe.
+    """
+    return "sender_sequence" in content
 
 
 def ack_content(peer: str, message_id: str, direction: str,

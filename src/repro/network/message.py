@@ -1,11 +1,13 @@
 """Network message envelopes.
 
 An envelope carries the application payload plus the accountability headers
-the AVMM adds: the sender's signature over the payload, the sender's
-authenticator (its commitment to the SEND entry), and acknowledgment
-references.  Envelope sizes are tracked explicitly because the traffic
-overhead of per-packet signatures is one of the paper's measurements
-(Section 6.7).
+the AVMM adds: the sender's authenticator and acknowledgment references.  On
+a DATA message the authenticator commits to the sender's SEND entry for this
+very message and is its only signature — the receiver recomputes ``h_i``
+from the authenticator's ``h_{i-1}`` and sequence plus the message itself
+(Section 4.3).  On an ACK it commits to the receiver's RECV entry.  Envelope
+sizes are tracked explicitly because the traffic overhead of per-packet
+signatures is one of the paper's measurements (Section 6.7).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.crypto import hashing
+from repro.log.authenticator import Authenticator
 
 # IP + UDP header bytes counted for raw traffic accounting, matching the
 # paper's "raw, IP-level network traffic" measurement.
@@ -79,8 +82,7 @@ class NetworkMessage:
     payload: bytes
     kind: MessageKind = MessageKind.DATA
     message_id: str = ""
-    signature: bytes = b""
-    authenticator: Optional[Dict[str, Any]] = None
+    authenticator: Optional[Authenticator] = None
     headers: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -90,32 +92,22 @@ class NetworkMessage:
     # -- crypto helpers -------------------------------------------------------
 
     def payload_hash(self) -> bytes:
-        """Hash of the payload (what signatures and log entries refer to)."""
+        """Hash of the payload (what SEND entries and authenticators cover)."""
         return hashing.hash_bytes(self.payload)
-
-    def signed_payload(self) -> bytes:
-        """Byte string covered by the sender's signature."""
-        return hashing.hash_concat(
-            self.source.encode("utf-8"),
-            self.destination.encode("utf-8"),
-            self.message_id.encode("utf-8"),
-            self.kind.value.encode("utf-8"),
-            self.payload_hash(),
-        )
 
     # -- size accounting ------------------------------------------------------
 
     def wire_size(self, encapsulate_tcp: bool = False) -> int:
         """Total bytes this envelope occupies on the wire.
 
-        Includes the payload, signature, serialised authenticator and protocol
-        headers; ``encapsulate_tcp`` adds the TCP framing the AVMM uses for
-        its daemon connection.
+        Includes the payload, the authenticator and protocol headers;
+        ``encapsulate_tcp`` adds the TCP framing the AVMM uses for its daemon
+        connection.
         """
-        size = IP_UDP_HEADER_BYTES + len(self.payload) + len(self.signature)
+        size = IP_UDP_HEADER_BYTES + len(self.payload)
         size += len(self.message_id) + 8  # id + kind tag
         if self.authenticator is not None:
-            size += _authenticator_wire_size(self.authenticator)
+            size += self.authenticator.wire_size()
         for key, value in self.headers.items():
             size += len(str(key)) + len(str(value))
         if encapsulate_tcp:
@@ -130,25 +122,6 @@ class NetworkMessage:
             payload=self.payload,
             kind=self.kind,
             message_id=f"{self.message_id}-fwd-{new_destination}",
-            signature=self.signature,
-            authenticator=dict(self.authenticator) if self.authenticator else None,
+            authenticator=self.authenticator,
             headers=dict(self.headers),
         )
-
-
-def _authenticator_wire_size(auth: Dict[str, Any]) -> int:
-    """Approximate serialised size of an attached authenticator."""
-    size = 0
-    for key, value in auth.items():
-        size += len(str(key))
-        if isinstance(value, str):
-            size += len(value) // 2 if _looks_hex(value) else len(value)
-        else:
-            size += 8
-    return size
-
-
-def _looks_hex(value: str) -> bool:
-    if not value or len(value) % 2:
-        return False
-    return all(c in "0123456789abcdefABCDEF" for c in value)

@@ -57,6 +57,7 @@ from repro.log.codec import (
     get_codec,
     require_format_version,
     segment_suffix,
+    sniff_format_version,
 )
 from repro.log.entries import LogEntry
 from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
@@ -322,7 +323,8 @@ class LogArchive:
     # -- writing -------------------------------------------------------------
 
     def append_segment(self, segment: LogSegment,
-                       sealed_by_snapshot: Optional[int] = None) -> SegmentRecord:
+                       sealed_by_snapshot: Optional[int] = None,
+                       encoded: Optional[bytes] = None) -> SegmentRecord:
         """Archive one sealed segment; it must extend the machine's head.
 
         The entire hash chain of the segment is re-verified against the
@@ -331,6 +333,10 @@ class LogArchive:
         Raises :class:`HashChainError` for a broken/forked shipment and
         :class:`StoreError` for structural problems (empty segment, stale
         range).
+
+        ``encoded`` is the blob ``segment`` was decoded from (a shipment).
+        When it is already in this archive's format it is stored verbatim;
+        otherwise the segment is re-encoded.
         """
         if not segment.entries:
             raise StoreError("cannot archive an empty segment")
@@ -345,7 +351,11 @@ class LogArchive:
         end = verify_chain_incremental(segment.entries, head)
 
         raw = segment.size_bytes()
-        data = get_codec(self.format_version).encode_segment(segment)
+        if encoded is not None \
+                and sniff_format_version(encoded) == self.format_version:
+            data = bytes(encoded)
+        else:
+            data = get_codec(self.format_version).encode_segment(segment)
         if self.format_version == 1:
             wire_v1 = len(data)
         else:

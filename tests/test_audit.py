@@ -18,7 +18,32 @@ from repro.audit.syntactic import SyntacticChecker
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.errors import EvidenceError
 from repro.game.cheats.external import LogTamperingAdversary, PacketForgingAdversary, boost_fire_commands
-from repro.log.entries import EntryType
+from repro.log.entries import EntryType, is_authenticated_recv
+
+
+def _ping_echo_pair():
+    """A started ping-sender/echo pair under avmm-rsa768; echo is observed."""
+    from repro.avmm.config import AvmmConfig, Configuration
+    from repro.avmm.monitor import AccountableVMM
+    from repro.experiments.harness import build_trust
+    from repro.network.simnet import SimulatedNetwork
+    from repro.obs import Observability
+    from repro.sim.scheduler import Scheduler
+    from repro.workloads.echo import make_echo_image, make_ping_sender_image
+
+    scheduler = Scheduler()
+    network = SimulatedNetwork(scheduler)
+    config = AvmmConfig.for_configuration(Configuration.AVMM_RSA768)
+    _, keypairs, keystore = build_trust(["pinger", "echo"])
+    obs = Observability.make(sim_time=scheduler.clock.read)
+    pinger = AccountableVMM("pinger", make_ping_sender_image("echo"), config,
+                            scheduler, network, keypair=keypairs["pinger"],
+                            keystore=keystore)
+    echo = AccountableVMM("echo", make_echo_image(), config, scheduler, network,
+                          keypair=keypairs["echo"], keystore=keystore, obs=obs)
+    pinger.start()
+    echo.start()
+    return scheduler, keystore, obs, pinger, echo
 
 
 class TestSyntacticCheck:
@@ -29,22 +54,79 @@ class TestSyntacticCheck:
         assert report.entries_checked > 100
         assert report.signatures_verified > 0
 
-    def test_detects_forged_sender_signature(self, honest_session):
-        # Work on a *copy* of the segment so the shared session stays pristine.
+    @pytest.mark.parametrize("field,forge", [
+        ("sender_signature", lambda value: "00" * 96),
+        ("sender_previous_hash", lambda value: "11" * 32),
+        ("sender_sequence", lambda value: value + 1),
+        ("payload", lambda value: value + "00"),
+    ], ids=["sender_signature", "sender_previous_hash", "sender_sequence",
+            "payload"])
+    def test_detects_forged_sender_signature(self, honest_session, field, forge):
+        # Every field the authenticator recipe reads is covered by the
+        # sender's signature.  Work on a *copy* of the segment so the shared
+        # session stays pristine.
         from dataclasses import replace
         from repro.log.segments import LogSegment
         segment = honest_session.monitors["player1"].get_log_segment()
         entries = list(segment.entries)
         index = next(i for i, e in enumerate(entries)
                      if e.entry_type is EntryType.RECV)
+        assert is_authenticated_recv(entries[index].content)
         tampered_content = dict(entries[index].content)
-        tampered_content["sender_signature"] = "00" * 96
+        tampered_content[field] = forge(tampered_content[field])
         entries[index] = replace(entries[index], content=tampered_content)
         tampered = LogSegment(machine=segment.machine, entries=entries,
                               start_hash=segment.start_hash)
         report = SyntacticChecker(honest_session.keystore).check(tampered)
         assert not report.ok
-        assert any("signature" in problem for problem in report.problems)
+        sequence = entries[index].sequence
+        assert any(problem.startswith(f"entry {sequence}:") and "signature" in problem
+                   for problem in report.problems), report.problems
+
+    def test_authenticator_for_another_payload_is_counted_and_fails_audit(self):
+        from repro.audit.auditor import Auditor
+        from repro.network.message import MessageKind
+        from repro.workloads.echo import make_echo_image
+
+        scheduler, keystore, obs, pinger, echo = _ping_echo_pair()
+        # The pinger's SEND entry and authenticator cover the payload its
+        # guest produced; the message then leaves with a different payload.
+        transmit = pinger._transmit
+
+        def swap_payload(message, expect_ack, extra_delay=0.0):
+            if message.kind is MessageKind.DATA:
+                message.payload = b"forged:" + message.payload
+            transmit(message, expect_ack, extra_delay)
+
+        pinger._transmit = swap_payload
+        pinger.inject_local_input("ping")
+        scheduler.run_until(2.0)
+
+        assert obs.metrics.value("monitor.authenticators_rejected.binding") == 1
+        assert obs.metrics.value("monitor.authenticators_rejected.signature") == 0
+        recv = next(e for e in echo.log if e.entry_type is EntryType.RECV)
+        assert recv.content["payload"] == b"forged:icmp-echo-request:1".hex()
+        result = Auditor("auditor", keystore, make_echo_image()).audit(echo)
+        assert result.verdict is Verdict.FAIL
+        assert result.phase is AuditPhase.SYNTACTIC_CHECK
+        assert f"entry {recv.sequence}:" in result.reason
+
+    def test_one_signature_per_message_and_ack(self):
+        scheduler, _, obs, pinger, echo = _ping_echo_pair()
+        signed = []
+        for monitor in (pinger, echo):
+            keypair = monitor.log.keypair
+            sign = keypair.sign
+            keypair.sign = lambda message, sign=sign: signed.append(1) or sign(message)
+        for _ in range(3):
+            pinger.inject_local_input("ping")
+        scheduler.run_until(2.0)
+        stats = [monitor.stats for monitor in (pinger, echo)]
+        sent = sum(s.messages_sent + s.acks_sent for s in stats)
+        assert sent == 12  # 3 pings + 3 echoes, each acknowledged
+        assert sum(s.signatures_generated for s in stats) == len(signed) == sent
+        assert sum(obs.metrics.value(f"monitor.authenticators_rejected.{reason}")
+                   for reason in ("malformed", "binding", "signature")) == 0
 
     def test_detects_missing_recv_for_injected_packet(self, honest_session):
         from repro.log.segments import LogSegment

@@ -9,7 +9,7 @@ from repro.errors import (
     LogFormatError,
     SegmentError,
 )
-from repro.log.authenticator import Authenticator, make_authenticator
+from repro.log.authenticator import Authenticator, make_authenticator, send_chain_hash
 from repro.log.entries import (
     EntryType,
     LogEntry,
@@ -54,7 +54,9 @@ class TestEntries:
 
     def test_content_constructors(self):
         assert send_content("bob", b"\x00" * 32, 10, "m1")["destination"] == "bob"
-        assert recv_content("bob", b"\x00" * 32, 10, "m1", b"sig")["source"] == "bob"
+        recv = recv_content("bob", "m1", b"hi", "data", 7, b"\x00" * 32, b"sig")
+        assert recv["source"] == "bob" and recv["sender_sequence"] == 7
+        assert "payload_hash" not in recv  # derived from the logged payload
         assert ack_content("bob", "m1", "sent", 3)["direction"] == "sent"
         assert snapshot_content(1, b"\x11" * 32, 100)["snapshot_id"] == 1
         assert nondet_content("clock", 5)["execution_counter"] == 5
@@ -228,6 +230,23 @@ class TestAuthenticators:
         segment.verify_hash_chain()  # chain alone looks fine
         with pytest.raises(AuthenticatorMismatchError):
             segment.verify_against_authenticators(authenticators, keystore)
+
+    def test_send_chain_hash_recomputes_the_logged_send(self):
+        log = TamperEvidentLog("alice")
+        log.append(EntryType.NONDET, nondet_content("tick", 0))
+        entry = log.append(EntryType.SEND, send_content(
+            "bob", hashing.hash_bytes(b"x"), 1, "m"))
+        assert send_chain_hash(entry.previous_hash, entry.sequence,
+                               "bob", b"x", "m") == entry.chain_hash
+
+    def test_send_chain_hash_covers_message_fields(self):
+        base = dict(previous_hash=hashing.ZERO_HASH, sequence=1,
+                    destination="b", payload=b"x", message_id="m")
+        reference = send_chain_hash(**base)
+        for field, other in (("previous_hash", b"\x01" * 32), ("sequence", 2),
+                             ("destination", "c"), ("payload", b"y"),
+                             ("message_id", "n")):
+            assert send_chain_hash(**{**base, field: other}) != reference, field
 
     def test_unsigned_log_produces_empty_signature_authenticators(self):
         log = make_log("alice", keypair=None, entries=2)

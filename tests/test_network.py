@@ -3,10 +3,17 @@
 import pytest
 
 from repro.errors import ChannelError, DeliveryError
+from repro.log.authenticator import Authenticator
 from repro.network.channel import ReliableChannel
 from repro.network.message import MessageKind, NetworkMessage
 from repro.network.simnet import LinkSpec, SimulatedNetwork
 from repro.sim.scheduler import Scheduler
+
+
+def _authenticator(entry_type):
+    return Authenticator(machine="alice", sequence=3, chain_hash=b"\x01" * 32,
+                         signature=b"s" * 96, previous_hash=b"\x02" * 32,
+                         entry_type=entry_type, content_hash=b"\x03" * 32)
 
 
 def make_network():
@@ -25,20 +32,24 @@ class TestNetworkMessage:
         message = NetworkMessage(source="a", destination="b", payload=b"x")
         assert len(message.payload_hash()) == 32
 
-    def test_signed_payload_covers_fields(self):
-        a = NetworkMessage(source="a", destination="b", payload=b"x", message_id="m")
-        b = NetworkMessage(source="a", destination="c", payload=b"x", message_id="m")
-        c = NetworkMessage(source="a", destination="b", payload=b"y", message_id="m")
-        assert a.signed_payload() != b.signed_payload()
-        assert a.signed_payload() != c.signed_payload()
-
-    def test_wire_size_grows_with_signature_and_authenticator(self):
+    def test_wire_size_grows_with_authenticator(self):
         bare = NetworkMessage(source="a", destination="b", payload=b"x" * 50)
         signed = NetworkMessage(source="a", destination="b", payload=b"x" * 50,
-                                signature=b"s" * 96,
-                                authenticator={"chain_hash": "00" * 32, "sequence": 3})
+                                authenticator=_authenticator("send"))
         assert signed.wire_size() > bare.wire_size()
         assert signed.wire_size(encapsulate_tcp=True) > signed.wire_size()
+
+    def test_authenticator_wire_size_is_exact(self):
+        # machine name + 8-byte sequence + chain and previous hashes + sigma
+        # + entry type; the content hash rides along unless the entry is the
+        # SEND the message itself lets the receiver recompute.
+        send, recv = _authenticator("send"), _authenticator("recv")
+        assert send.wire_size() == len("alice") + 8 + 32 + 32 + 96 + len("send")
+        assert recv.wire_size() == len("alice") + 8 + 3 * 32 + 96 + len("recv")
+        bare = NetworkMessage(source="a", destination="b", payload=b"")
+        ack = NetworkMessage(source="a", destination="b", payload=b"",
+                             message_id=bare.message_id, authenticator=recv)
+        assert ack.wire_size() - bare.wire_size() == recv.wire_size()
 
     def test_copy_for_forwarding(self):
         original = NetworkMessage(source="a", destination="b", payload=b"x",

@@ -396,6 +396,35 @@ class TestIngestService:
         assert service.stats.segments_rejected == 1
         assert "claims to be from" in service.quarantine[0].reason
 
+    @pytest.mark.parametrize("ship_version,archive_version",
+                             [(1, 1), (3, 3), (1, 3), (3, 1)])
+    def test_shipments_in_the_archive_format_are_stored_verbatim(
+            self, tmp_path, ship_version, archive_version):
+        from repro.log.codec import TypedCodec, get_codec
+        from repro.network.message import MessageKind, NetworkMessage
+        archive = LogArchive(tmp_path / "a", format_version=archive_version)
+        service = AuditIngestService(archive)
+        log = build_sealed_log()
+        segments = log.segments_between_snapshots()
+        # Uncompressed v3 frames differ from what the archive's own v3 codec
+        # writes, so a re-encode could not pass for the shipped bytes.
+        shipper = TypedCodec(compress=False) if ship_version == 3 \
+            else get_codec(ship_version)
+        shipped = [shipper.encode_segment(segment) for segment in segments]
+        for blob in shipped:
+            service.on_message(NetworkMessage(
+                "machine", "audit-ingest", blob,
+                kind=MessageKind.ARCHIVE_SEGMENT))
+        assert service.quarantine == []
+        records = archive.segment_records("machine")
+        for record, segment, blob in zip(records, segments, shipped):
+            stored = (tmp_path / "a" / record.file_name).read_bytes()
+            expected = blob if ship_version == archive_version \
+                else get_codec(archive_version).encode_segment(segment)
+            assert stored == expected
+            assert record.stored_bytes == len(stored)
+        assert archive.materialized_log("machine").entries == log.entries
+
     def test_format_ingest_report_lists_machines(self, tmp_path):
         log = build_sealed_log()
         service = AuditIngestService(LogArchive(tmp_path / "a"))

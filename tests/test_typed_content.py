@@ -32,6 +32,7 @@ from repro.log.entries import (
     TAG_MACLAYER_OUT,
     TAG_NONDET,
     TAG_RECV,
+    TAG_RECV_AUTH,
     TAG_RECV_PAYLOAD,
     TAG_ROW,
     TAG_SEND,
@@ -64,6 +65,10 @@ SHAPED_CONTENTS = {
                        "payload_hash": DIGEST, "payload_size": 4,
                        "sender_signature": "deadbeef00",
                        "payload": "cafef00d", "kind": "request"},
+    TAG_RECV_AUTH: {"source": "m1", "message_id": "m1-17",
+                    "sender_sequence": 41, "sender_previous_hash": DIGEST2,
+                    "sender_signature": "deadbeef00",
+                    "payload": "cafef00d", "kind": "data"},
     TAG_ACK: {"peer": "m2", "message_id": "m1-17", "direction": "sent",
               "acked_sequence": 99},
     TAG_SNAPSHOT: {"snapshot_id": 7, "state_root": DIGEST,
