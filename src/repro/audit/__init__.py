@@ -15,12 +15,7 @@ that any third party can verify without trusting the auditor or the auditee.
 """
 
 from repro.audit.auditor import Auditor
-from repro.audit.engine import (
-    AuditAssignment,
-    AuditScheduler,
-    FleetAuditReport,
-    MachineAuditReport,
-)
+from repro.audit.engine import AuditAssignment, AuditScheduler, FleetAuditReport
 from repro.audit.evidence import Evidence
 from repro.audit.online import OnlineAuditor
 from repro.audit.semantic import SemanticChecker
@@ -39,7 +34,6 @@ __all__ = [
     "AuditScheduler",
     "Auditor",
     "FleetAuditReport",
-    "MachineAuditReport",
     "Evidence",
     "OnlineAuditor",
     "SemanticChecker",

@@ -6,17 +6,19 @@ authenticators, run the syntactic check, then the semantic check.  Any failure
 produces :class:`~repro.audit.evidence.Evidence`; an unresponsive machine is
 *suspected* and the most recent authenticator becomes the evidence.
 
-With ``workers > 1`` the auditor delegates whole-machine audits to the
-parallel engine (:class:`repro.audit.engine.AuditScheduler`), which chunks
-the log at snapshot boundaries and batches signature checks; ``workers=1``
-(the default) preserves the plain serial path below.  Verdicts and evidence
-are identical either way — the engine re-runs the serial path to produce
-canonical evidence whenever a chunk fails.
+A whole-machine :meth:`Auditor.audit` runs on the one audit pipeline
+(:mod:`repro.audit.stream`), inline with ``workers=1`` (the default) and on
+the fleet scheduler's worker pool (:class:`repro.audit.engine.AuditScheduler`)
+otherwise.  :meth:`Auditor.audit_segment` is the serial audit of a
+downloaded segment: the pipeline hands over to it whenever a chunk detects
+anything, so verdicts and evidence are canonical on every path, and
+``audit(target, streaming=False)`` is the reference the differential tests
+compare every path against.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.audit.evidence import Evidence
 from repro.audit.semantic import SemanticChecker
@@ -32,39 +34,37 @@ from repro.metrics.perfmodel import CostParameters
 from repro.obs import Observability, ensure_obs
 from repro.vm.image import VMImage
 
-if TYPE_CHECKING:  # pragma: no cover - avoid the auditor<->engine import cycle
-    from repro.audit.engine import AuditScheduler
+
+def replay_start(target) -> Tuple[Optional[Dict[str, Any]], int]:
+    """Where replay of ``target``'s retained log starts, and its snapshot bytes.
+
+    A GC-truncated archive replays from its boundary snapshot; any other
+    target from the reference image.
+    """
+    is_truncated = getattr(target, "is_truncated", None)
+    if is_truncated is not None and is_truncated():
+        return target.initial_state()
+    return None, 0
 
 
 class Auditor:
     """An auditing party (Alice, or any player auditing another).
 
-    ``workers`` selects how many audit workers full-machine audits may use;
-    alternatively an explicit :class:`~repro.audit.engine.AuditScheduler`
-    can be supplied via ``engine`` (it wins over ``workers``).
+    ``workers`` is how many pool workers whole-machine audits (and spot-check
+    sweeps) may use; 1 runs them inline.
     """
 
     def __init__(self, identity: str, keystore: KeyStore, reference_image: VMImage,
                  cost_params: Optional[CostParameters] = None,
                  workers: int = 1,
-                 engine: Optional["AuditScheduler"] = None,
                  obs: Optional[Observability] = None) -> None:
         self.identity = identity
         self.keystore = keystore
         self.reference_image = reference_image
         self.cost_params = cost_params or CostParameters()
         self.workers = workers
-        self._engine = engine
         self.obs = ensure_obs(obs)
         self.collected_authenticators: Dict[str, List[Authenticator]] = {}
-
-    @property
-    def engine(self) -> Optional["AuditScheduler"]:
-        """The audit engine backing this auditor (``None`` on the serial path)."""
-        if self._engine is None and self.workers > 1:
-            from repro.audit.engine import AuditScheduler
-            self._engine = AuditScheduler(workers=self.workers)
-        return self._engine
 
     # -- authenticator collection -------------------------------------------------
 
@@ -99,51 +99,36 @@ class Auditor:
               streaming: bool = True) -> AuditResult:
         """Run a full audit of ``target`` (or of a specific segment of its log).
 
-        Whole-machine audits run on the parallel engine when one is
-        configured; audits of an explicit segment always take the serial
-        path (the engine needs the machine's snapshots to chunk).
-
-        Archive-backed targets (anything advertising ``supports_streaming``)
-        are audited on the streaming pipeline by default: entries are
-        decoded, chain-verified, signature-checked and replayed chunk by
-        chunk in O(chunk) memory, with verdicts, evidence and modelled costs
-        identical to the materializing path (:mod:`repro.audit.stream`).
-        (Engine-backed auditors plan their chunk jobs off the same stream
-        but keep the engine's merge semantics: verdicts and evidence match
-        the serial path, while the fast-path merged report aggregates
-        per-chunk counters.)
-        Pass ``streaming=False`` to force whole-log materialization — for a
-        streamable target this also bypasses the engine (whose plans are
-        built from the stream), taking the serial materializing path.
+        A whole-machine audit runs on the audit pipeline
+        (:mod:`repro.audit.stream`): the log is verified and replayed chunk
+        by chunk (in O(chunk) memory for an archive-backed target), on a
+        worker pool when ``workers > 1``, with a result equal to the serial
+        audit's.  ``streaming=False``, an explicit ``segment`` or an explicit
+        ``initial_state`` take the serial path, which materializes the log.
         """
-        machine = target.identity
-        streamable = getattr(target, "supports_streaming", False)
-        if segment is None and initial_state is None:
-            if self.engine is not None and (streaming or not streamable):
-                return self.engine.audit_machine(self, target)
-            if streaming and streamable:
-                from repro.audit.stream import stream_audit
-                return stream_audit(self, target).result
+        if segment is None and initial_state is None and streaming:
+            if self.workers > 1:
+                from repro.audit.engine import AuditScheduler
+                return AuditScheduler(workers=self.workers).audit_machine(
+                    self, target)
+            from repro.audit.stream import stream_audit
+            return stream_audit(self, target).result
+        snapshot_bytes = 0
         if segment is None:
             segment = target.get_log_segment()
-            if initial_state is None \
-                    and getattr(target, "is_truncated", None) is not None \
-                    and target.is_truncated():
-                # A GC-truncated archive replays from its boundary snapshot,
-                # like a spot-check chunk (the streaming path does the same).
-                state, snapshot_bytes = target.initial_state()
-                return self.audit_segment(machine, segment,
-                                          initial_state=state,
-                                          snapshot_bytes=snapshot_bytes)
-        return self.audit_segment(machine, segment, initial_state=initial_state)
+            if initial_state is None:
+                initial_state, snapshot_bytes = replay_start(target)
+        return self.audit_segment(target.identity, segment,
+                                  initial_state=initial_state,
+                                  snapshot_bytes=snapshot_bytes)
 
     def audit_segment(self, machine: str, segment: LogSegment,
                       initial_state: Optional[Dict[str, Any]] = None,
                       snapshot_bytes: int = 0) -> AuditResult:
         """Audit a log segment that has already been downloaded.
 
-        This is the shared serial chokepoint (plain audits, spot-check
-        chunks, the engine's serial confirmation), so the obs wall timer
+        This is the shared serial chokepoint (serial audits, spot-check
+        chunks, the pipeline's hand-over on detection), so the obs wall timer
         here guarantees ``AuditResult.wall_seconds`` is populated on
         every front-end — the null tracer's timer still measures.
         """
@@ -165,7 +150,7 @@ class Auditor:
             raise AuditError(
                 f"segment claims to be from {segment.machine!r}, "
                 f"but the audit target is {machine!r}")
-        cost = self._download_cost(segment, snapshot_bytes)
+        cost = self.download_cost(segment, snapshot_bytes)
         authenticators = self.authenticators_for(machine)
 
         # Step 1: the log must match the authenticators the machine has issued.
@@ -216,25 +201,17 @@ class Auditor:
 
     # -- helpers ----------------------------------------------------------------------
 
-    def _download_cost(self, segment: LogSegment, snapshot_bytes: int) -> AuditCost:
+    def download_cost(self, segment: LogSegment, snapshot_bytes: int) -> AuditCost:
         """Model the transfer/processing cost of obtaining this segment.
 
         The compressed size is the cost model's canonical number
         (:func:`repro.log.codec.modelled_compressed_log_bytes`): a pure
-        function of the entries, so serial, engine and streaming audits of
-        the same log charge the same download regardless of wire format.
+        function of the entries, so every audit path charges the same
+        download for the same log, whatever its wire format.
         """
-        raw_bytes = segment.size_bytes()
-        compressed = modelled_compressed_log_bytes(segment)
-        params = self.cost_params
-        return AuditCost(
-            log_bytes_downloaded=raw_bytes,
-            compressed_log_bytes=compressed,
-            snapshot_bytes_downloaded=snapshot_bytes,
-            compression_seconds=raw_bytes / params.compress_bytes_per_second,
-            decompression_seconds=raw_bytes / params.decompress_bytes_per_second,
-            syntactic_seconds=raw_bytes / params.syntactic_check_bytes_per_second,
-        )
+        return AuditCost.download(segment.size_bytes(),
+                                  modelled_compressed_log_bytes(segment),
+                                  snapshot_bytes, self.cost_params)
 
     def _fail(self, machine: str, segment: LogSegment, phase: AuditPhase,
               reason: str, cost: AuditCost, authenticators: List[Authenticator],

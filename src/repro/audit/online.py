@@ -6,24 +6,25 @@ cheater's externally visible behaviour deviates from the reference execution.
 :class:`OnlineAuditor` periodically re-audits the target's log-so-far and
 records when (in simulated time) a fault first became detectable.
 
-The auditor's CPU consumption is tracked so the Figure 8 experiment can charge
-it against the player's machine when the audit runs concurrently with the
-game.
+Each pass is a plain whole-machine :meth:`Auditor.audit
+<repro.audit.auditor.Auditor.audit>`, so it runs on the one audit pipeline
+(:mod:`repro.audit.stream`): chunk by chunk in O(chunk) memory for an
+archive-backed target, and on a worker pool when the auditor has
+``workers > 1``.  The auditor's CPU consumption is tracked so the Figure 8
+experiment can charge it against the player's machine when the audit runs
+concurrently with the game.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.audit.auditor import Auditor
 from repro.audit.verdict import AuditResult, Verdict
 from repro.avmm.monitor import AccountableVMM
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
-
-if TYPE_CHECKING:  # pragma: no cover - engine imports the auditor, not us
-    from repro.audit.engine import AuditScheduler
 
 
 @dataclass
@@ -38,38 +39,21 @@ class OnlineAuditRecord:
 
 
 class OnlineAuditor:
-    """Periodically audits a running machine.
-
-    Each pass re-audits the whole log-so-far, so long sessions benefit from
-    the parallel engine: pass ``engine`` (or build the auditor with
-    ``workers > 1``) and every pass is chunked over the worker pool.  The
-    cost accounting below is unchanged either way, because the engine threads
-    the same :class:`~repro.audit.verdict.AuditCost` totals through.
-
-    Archive-backed targets (:class:`~repro.service.target.
-    ArchiveBackedMachine`) stream: every pass decodes, verifies and replays
-    the archived log chunk by chunk (:mod:`repro.audit.stream`), so an
-    online auditor watching a long archived history keeps O(chunk) memory.
-    """
+    """Periodically audits a running machine (each pass re-audits the whole
+    log-so-far)."""
 
     def __init__(self, auditor: Auditor, target: AccountableVMM,
-                 scheduler: Scheduler, interval: float = 30.0,
-                 engine: Optional["AuditScheduler"] = None) -> None:
+                 scheduler: Scheduler, interval: float = 30.0) -> None:
         self.auditor = auditor
         self.target = target
         self.scheduler = scheduler
         self.interval = interval
-        self._engine = engine
         self.records: List[OnlineAuditRecord] = []
         self.detection_time: Optional[float] = None
         self.audit_cpu_seconds: float = 0.0
         self._audited_entries = 0
         self._audited_active_seconds = 0.0
         self._process: Optional[Process] = None
-
-    @property
-    def engine(self) -> Optional["AuditScheduler"]:
-        return self._engine if self._engine is not None else self.auditor.engine
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -103,11 +87,7 @@ class OnlineAuditor:
         # The auditor collects any authenticators it has not seen yet.
         self.auditor.collect_from_peer(self.target, self.target.identity)
 
-        engine = self.engine
-        if engine is not None:
-            result = engine.audit_machine(self.auditor, self.target)
-        else:
-            result = self.auditor.audit(self.target)
+        result = self.auditor.audit(self.target)
         record = OnlineAuditRecord(
             time=self.scheduler.clock.now,
             entries_audited=log_length,

@@ -7,10 +7,11 @@ replays just the chunk.  The cost is roughly proportional to the chunk size
 plus a fixed per-chunk cost for transferring the memory and disk snapshots and
 for decompression (Figure 9).
 
-Because every k-chunk is an independent work item, spot checks are a natural
-fit for the parallel engine: construct the checker with an
-:class:`~repro.audit.engine.AuditScheduler` and :meth:`check_all_chunks`
-fans the chunks out over its worker pool.
+Spot checking is a policy for choosing chunks; each chosen chunk is audited
+by the serial auditor, or — when :meth:`SpotChecker.check_all_chunks`
+sweeps many chunks for an auditor with ``workers > 1`` — by the audit
+pipeline's chunk kernel (:func:`repro.audit.stream.run_chunk`) on a worker
+pool, with jobs from the pipeline's job builder.
 """
 
 from __future__ import annotations
@@ -18,16 +19,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.audit.auditor import Auditor
-from repro.audit.verdict import AuditResult
+from repro.audit.engine import AuditScheduler
+from repro.audit.stream import (
+    ChunkJobBuilder,
+    fetch_verified_snapshot_entry,
+    record_chunk_telemetry,
+)
+from repro.audit.verdict import AuditPhase, AuditResult, Verdict
 from repro.avmm.monitor import AccountableVMM
-from repro.errors import SegmentError
+from repro.errors import MissingSnapshotError, SegmentError
+from repro.log.entries import EntryType
 from repro.log.segments import LogSegment, concatenate_segments
-
-if TYPE_CHECKING:  # pragma: no cover - engine imports the auditor, not us
-    from repro.audit.engine import AuditScheduler
 
 
 @dataclass
@@ -199,24 +204,28 @@ class _SegmentSource:
         return sum(self.entry_count(index) for index in range(len(self)))
 
 
+def _boundary_snapshot(target: AccountableVMM,
+                       preceding: LogSegment) -> Tuple[Dict[str, Any], int]:
+    """The verified snapshot a chunk replays from (the preceding segment's)."""
+    snapshot_entries = preceding.entries_of_type(EntryType.SNAPSHOT)
+    if not snapshot_entries:
+        raise MissingSnapshotError(
+            "the segment preceding the chunk does not end with a snapshot")
+    return fetch_verified_snapshot_entry(target, snapshot_entries[-1])
+
+
 class SpotChecker:
     """Audits k-chunks of a machine's log.
 
-    ``engine`` (or the auditor's own engine, when it has one) parallelises
-    :meth:`check_all_chunks`; single-chunk checks always run serially.
-    Archive-backed targets are read lazily: each chunk's segments are
-    decompressed on demand (:class:`_SegmentSource`), so checking a few
-    chunks of a long archived log never materializes the log.
+    An auditor with ``workers > 1`` parallelises :meth:`check_all_chunks`;
+    single-chunk checks always run serially.  Archive-backed targets are
+    read lazily: each chunk's segments are decompressed on demand
+    (:class:`_SegmentSource`), so checking a few chunks of a long archived
+    log never materializes the log.
     """
 
-    def __init__(self, auditor: Auditor,
-                 engine: Optional["AuditScheduler"] = None) -> None:
+    def __init__(self, auditor: Auditor) -> None:
         self.auditor = auditor
-        self._engine = engine
-
-    @property
-    def engine(self) -> Optional["AuditScheduler"]:
-        return self._engine if self._engine is not None else self.auditor.engine
 
     # -- public API ------------------------------------------------------------------
 
@@ -241,7 +250,7 @@ class SpotChecker:
         initial_state: Optional[Dict[str, Any]] = None
         snapshot_bytes = 0
         if start_index > 0:
-            initial_state, snapshot_bytes = self._fetch_and_verify_snapshot(
+            initial_state, snapshot_bytes = _boundary_snapshot(
                 target, segments.get(start_index - 1))
 
         result = self.auditor.audit_segment(target.identity, chunk,
@@ -294,102 +303,74 @@ class SpotChecker:
 
         ``skip_initial`` excludes chunks that start at the very beginning of
         the log, as the paper does: they are atypical because no snapshot has
-        to be transferred and there is little activity yet.  With an engine
-        attached, the chunks run concurrently on its worker pool; the results
-        are returned in chunk order either way.
+        to be transferred and there is little activity yet.  With
+        ``workers > 1`` the chunks run concurrently on a worker pool; the
+        results are returned in chunk order either way.
         """
         segments = _SegmentSource(target, k=k)
         start = 1 if skip_initial else 0
         indices = list(range(start, len(segments) - k + 1))
-        engine = self.engine
-        if engine is None or engine.workers <= 1 or len(indices) <= 1:
+        if self.auditor.workers <= 1 or len(indices) <= 1:
             return [self.check_chunk(target, index, k, segments=segments)
                     for index in indices]
-        return self._check_chunks_on_engine(target, k, indices, segments)
+        return self._check_chunks_on_pool(target, k, indices, segments)
 
-    def _check_chunks_on_engine(self, target: AccountableVMM, k: int,
-                                indices: List[int],
-                                segments: _SegmentSource) -> List[SpotCheckResult]:
-        """Fan independent k-chunks out over the engine's worker pool.
+    def _check_chunks_on_pool(self, target: AccountableVMM, k: int,
+                              indices: List[int],
+                              segments: _SegmentSource) -> List[SpotCheckResult]:
+        """Fan independent k-chunks out over a worker pool.
 
-        A chunk that fails on the fast path is re-audited serially so its
+        A chunk that fails in the kernel is re-audited serially so its
         result (evidence included) is exactly what :meth:`check_chunk` would
         have produced.
         """
-        from repro.audit.engine import (
-            ChunkJob,
-            fetch_verified_snapshot,
-            scheme_verify_seconds,
-        )
-        from repro.audit.verdict import AuditPhase, Verdict
-
         auditor = self.auditor
         machine = target.identity
-        key_view = auditor.keystore.static_view()
-        verify_seconds = scheme_verify_seconds(auditor.keystore, machine)
-        authenticators = [auth for auth in auditor.authenticators_for(machine)
-                          if auth.machine == machine]
-
-        jobs: List["ChunkJob"] = []
+        builder = ChunkJobBuilder(auditor, machine, portable=True,
+                                  check_cross_references=True)
+        jobs = []
+        snapshot_bytes: List[int] = []
         for position, index in enumerate(indices):
             chunk = concatenate_segments(segments.slice(index, index + k))
             initial_state: Optional[Dict[str, Any]] = None
-            snapshot_bytes = 0
+            transfer = 0
             if index > 0:
-                initial_state, snapshot_bytes = fetch_verified_snapshot(
+                initial_state, transfer = _boundary_snapshot(
                     target, segments.get(index - 1))
-            jobs.append(ChunkJob(
-                machine=machine, auditor=auditor.identity,
-                chunk_index=position, segment=chunk,
-                checkpoint=chunk.start_checkpoint(),
-                # only the chunk's share, so job pickling scales with chunk
-                # size rather than log size (run_chunk re-filters anyway)
-                authenticators=[auth for auth in authenticators
-                                if chunk.first_sequence <= auth.sequence
-                                <= chunk.last_sequence],
-                key_view=key_view,
-                reference_image=auditor.reference_image,
-                initial_state=initial_state, snapshot_bytes=snapshot_bytes,
-                cost_params=auditor.cost_params,
-                verify_seconds=verify_seconds,
-                check_cross_references=True,
-            ))
+            jobs.append(builder.job(position, chunk, chunk.start_checkpoint(),
+                                    initial_state))
+            snapshot_bytes.append(transfer)
 
         with auditor.obs.tracer.timed("audit.spot_check", track=machine,
                                       chunks=len(jobs), k=k) as timer:
-            outcomes = self.engine.run_jobs(jobs)
+            outcomes = AuditScheduler(workers=auditor.workers).run_jobs(jobs)
         results: List[SpotCheckResult] = []
-        for index, job, outcome in zip(indices, jobs, outcomes):
+        for index, job, transfer, outcome in zip(indices, jobs, snapshot_bytes,
+                                                 outcomes):
+            record_chunk_telemetry(auditor.obs, machine, outcome,
+                                   len(job.segment.entries),
+                                   job.segment.last_sequence)
             if outcome.ok:
+                # The serial audit's cost, so a pooled sweep's results equal
+                # check_chunk's (the kernel's signature costs stay out).
+                cost = auditor.download_cost(job.segment, transfer)
+                cost.semantic_seconds = outcome.cost.semantic_seconds
                 result = AuditResult(
                     machine=machine, auditor=auditor.identity,
                     verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
                     authenticators_checked=outcome.authenticators_checked,
-                    replay_report=outcome.replay_report, cost=outcome.cost)
+                    replay_report=outcome.replay_report, cost=cost)
                 # Chunks share one pool run; the pool wall is the shared
                 # measurement (serial re-audits below time themselves).
                 result.wall_seconds = timer.seconds
             else:
                 result = auditor.audit_segment(machine, job.segment,
                                                initial_state=job.initial_state,
-                                               snapshot_bytes=job.snapshot_bytes)
+                                               snapshot_bytes=transfer)
             results.append(SpotCheckResult(
                 chunk_start_index=index, k=k, result=result,
                 log_bytes=job.segment.size_bytes(),
                 compressed_log_bytes=result.cost.compressed_log_bytes,
-                snapshot_bytes=job.snapshot_bytes,
+                snapshot_bytes=transfer,
                 replay_seconds=result.cost.semantic_seconds))
         return results
-
-    # -- helpers ---------------------------------------------------------------------
-
-    def _fetch_and_verify_snapshot(self, target: AccountableVMM,
-                                   preceding_segment: LogSegment):
-        """Download the snapshot at the chunk boundary and authenticate it.
-
-        Delegates to the engine's shared helper (Section 4.5, "Verifying the
-        snapshot"): the preceding segment ends with the SNAPSHOT entry whose
-        hash-tree root must match the downloaded snapshot.
-        """
-        from repro.audit.engine import fetch_verified_snapshot
-        return fetch_verified_snapshot(target, preceding_segment)

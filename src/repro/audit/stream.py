@@ -1,67 +1,64 @@
-"""The streaming, bounded-memory audit pipeline.
+"""The audit pipeline: one loop for every whole-machine audit.
 
-The paper's accountability guarantee is only deployable at fleet scale if
-auditing a machine's log does not require holding that log in memory.  The
-materializing path (``LogArchive.materialized_log`` →
-:meth:`Auditor.audit_segment <repro.audit.auditor.Auditor.audit_segment>`)
-inflates every archived entry
-into one giant in-memory :class:`~repro.log.segments.LogSegment` before any
-check runs, so peak auditor memory grows with log *length*.  This module
-replaces it with a pull-based pipeline whose peak memory is one *chunk* (a
-run of snapshot-delimited archived segments) plus O(1) checkpoints:
+Section 4.5 audits a log in three steps (authenticator check, syntactic
+check, replay), and Section 6.12 splits that audit at snapshots.  This
+module is that audit, run chunk by chunk:
 
-1. **decode** — entries are inflated incrementally from the archive's
-   compressed segment files (:meth:`LogArchive.stream_segment
-   <repro.store.archive.LogArchive.stream_segment>`, built on the streaming
-   idiom of :func:`repro.log.storage.iter_segment_entries`);
-2. **chain verify** — each decoded segment extends a running
-   :class:`~repro.log.hashchain.ChainCheckpoint` in one batch
-   (:func:`~repro.log.hashchain.extend_checkpoint_batch`), so tamper
-   evidence needs no look-back;
-3. **commitment check** — authenticators are batch-verified in sliding
-   windows (:func:`~repro.log.authenticator.batch_verify_authenticators`) as
-   their chunk streams past;
-4. **syntactic check** — per-entry checks run chunk by chunk; the stream
-   cross-checks (SEND/RECV vs MAC-layer pairing) run in a bounded-memory
-   incremental checker that evicts matched pairs;
-5. **semantic check** — the replayer is fed chunk by chunk, each chunk
-   starting from the snapshot verified at its boundary (Section 4.5,
-   "Verifying the snapshot"), with still-in-flight RECV payloads carried
-   across the boundary.
+1. **chunk source** — :func:`iter_stream_chunks` yields a target's log as
+   :class:`StreamChunk` runs that end at snapshots.  An archive-backed
+   target is decoded incrementally from its segment files, so peak memory
+   is one chunk plus O(1) checkpoints; a live machine's snapshot-delimited
+   segments are tiled with :func:`~repro.log.segments.partition_segments`.
+2. **job building (parent)** — :class:`ChunkJobBuilder` turns a chunk into a
+   self-contained :class:`ChunkJob`: the chunk, its chain checkpoint, its
+   share of the authenticators, the verified snapshot it replays from
+   (Section 4.5, "Verifying the snapshot") and the RECV payloads still in
+   flight at its start.  The parent also feeds every entry to the
+   bounded-memory :class:`StreamingCrossChecker` and the modelled-cost
+   meter, which need the whole log but no cryptography.
+3. **the kernel** — :func:`run_chunk` verifies the chain from the
+   checkpoint, verifies the authenticators in windowed batches
+   (:func:`~repro.log.authenticator.batch_verify_authenticators`), runs the
+   per-entry syntactic checks and replays the chunk.  It runs inline by
+   default; :class:`~repro.audit.engine.AuditScheduler` hands the pipeline
+   a worker pool instead, and the chunks of all its machines share it.
+4. **merge (parent)** — the chunk proofs must tile, the replay reports merge
+   with :func:`~repro.avmm.replayer.merge_replay_reports`, and the costs come
+   from the parent's :class:`~repro.log.codec.ModelledCostAccumulator`.
 
-**Equivalence guarantee.**  A passing streamed audit produces an
-:class:`~repro.audit.verdict.AuditResult` *structurally identical* — same
-verdict, counters, replay report and modelled :class:`~repro.audit.verdict.
-AuditCost`, including the modelled compressed log size via
-:class:`~repro.log.codec.ModelledCostAccumulator` (which reproduces
-:func:`~repro.log.codec.modelled_compressed_log_bytes` exactly, whatever the
-chunking, and serves sub-segment sizes from the archive manifest instead of
-recompressing) — to what the serial materializing audit of the same archive
-produces.  Any detected fault
-(or inability to stream, e.g. an unverifiable boundary snapshot) falls back
-to the materializing serial audit so failure verdicts and evidence are
-*canonical*: exactly the optimistic-fast-path/serial-confirm design of the
-parallel engine (:mod:`repro.audit.engine`).  ``tests/test_stream_equivalence
-.py`` enforces the guarantee differentially across the adversary matrix.
+**Equivalence guarantee.**  A passing audit produces an
+:class:`~repro.audit.verdict.AuditResult` equal (``==``) to the serial
+materializing audit of the same target (``Auditor.audit(target,
+streaming=False)``): same verdict, counters, replay report and modelled
+cost, whatever the chunking or the executor.  Any detected fault, or any
+inability to stream (e.g. an unverifiable boundary snapshot), hands over
+to that serial audit, so failure verdicts and evidence are canonical.
+``tests/test_stream_equivalence.py`` enforces the guarantee differentially
+across the adversary matrix.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.audit.evidence import Evidence
+from repro.audit.auditor import replay_start
 from repro.audit.semantic import SemanticChecker
 from repro.audit.syntactic import SyntacticChecker
 from repro.audit.verdict import AuditCost, AuditPhase, AuditResult, Verdict
-from repro.avmm.replayer import ReplayReport
+from repro.avmm.replayer import ReplayReport, merge_replay_reports
+from repro.crypto.signatures import get_scheme
 from repro.errors import (
+    CertificateError,
     HashChainError,
     MissingSnapshotError,
     ReproError,
+    SegmentError,
     StoreError,
 )
+from repro.log.authenticator import Authenticator, batch_verify_authenticators
 from repro.log.codec import ModelledCostAccumulator
 from repro.log.entries import EntryType, LogEntry
 from repro.log.hashchain import (
@@ -69,12 +66,16 @@ from repro.log.hashchain import (
     extend_checkpoint,
     extend_checkpoint_batch,
 )
-from repro.log.segments import LogSegment
-from repro.log.authenticator import batch_verify_authenticators
-from repro.obs import Observability, ensure_obs
+from repro.log.segments import LogSegment, partition_segments
+from repro.metrics.perfmodel import CostParameters
+from repro.obs import NULL_OBS, Observability
+from repro.vm.image import VMImage
 
 __all__ = [
     "ArchiveEntryStream",
+    "ChunkJob",
+    "ChunkJobBuilder",
+    "ChunkOutcome",
     "StreamChunk",
     "StreamStats",
     "StreamAuditReport",
@@ -82,6 +83,9 @@ __all__ = [
     "StreamingAuditPipeline",
     "fetch_verified_snapshot_entry",
     "iter_stream_chunks",
+    "record_chunk_telemetry",
+    "run_chunk",
+    "scheme_verify_seconds",
     "stream_audit",
 ]
 
@@ -90,7 +94,7 @@ DEFAULT_SIGNATURE_WINDOW = 256
 
 
 # ---------------------------------------------------------------------------
-# Stage 1+2: verified entry / chunk streams over an archive
+# Stage 1: the chunk source
 # ---------------------------------------------------------------------------
 
 def _records_from(archive, machine: str, start: Optional[ChainCheckpoint]):
@@ -164,14 +168,14 @@ class ArchiveEntryStream:
 
 @dataclass
 class StreamChunk:
-    """One audit-sized chunk of the stream (a run of archived segments)."""
+    """One audit-sized chunk of the log (a run of snapshot-delimited segments)."""
 
     index: int
     segment: LogSegment
+    #: chain state just before the chunk's first entry, and after its last
+    #: (from the archive manifest or the live log; the kernel proves both)
     start_checkpoint: ChainCheckpoint
     end_checkpoint: ChainCheckpoint
-    #: snapshot id sealing the chunk's last segment (None for the tail)
-    sealed_by_snapshot: Optional[int] = None
 
 
 def _chunk_record_counts(archive, machine: str, records,
@@ -208,26 +212,34 @@ def _chunk_record_counts(archive, machine: str, records,
 
 
 def iter_stream_chunks(target, max_chunks: Optional[int] = None,
-                       start: Optional[ChainCheckpoint] = None,
-                       verify_chain: bool = True) -> Iterator[StreamChunk]:
-    """Stream an archive-backed target's log as replayable chunks.
+                       start: Optional[ChainCheckpoint] = None
+                       ) -> Iterator[StreamChunk]:
+    """A target's log as replayable chunks, each ending at a snapshot.
 
-    Each yielded :class:`StreamChunk` holds one chunk's entries (already
-    chain-verified against the previous chunk's end checkpoint); previous
-    chunks can be dropped by the consumer, so a pipeline iterating this holds
-    O(chunk) entries.  ``max_chunks=None`` yields the finest chunking (one
-    chunk per snapshot-sealed segment run); the parallel engine passes its
-    chunk budget instead.
+    ``max_chunks=None`` yields the finest chunking (one chunk per run of
+    segments sealed by a snapshot); otherwise adjacent runs are merged into
+    at most ``max_chunks`` chunks as evenly as possible.
 
-    ``verify_chain=False`` skips the per-entry chain verification and takes
-    the checkpoints from the manifest records (whose tiling was proven at
-    archive recovery, and whose first/last sequence and end hash
-    :meth:`~repro.store.archive.LogArchive.stream_segment` still checks
-    against the decoded entries).  The engine uses this when planning chunk
-    jobs — its workers re-verify every chunk's chain from the checkpoint
-    anyway, so verifying during planning would double the hash work and
-    serialize half of it.
+    An archive-backed target (``supports_streaming``) is decoded one chunk
+    at a time, so a consumer that drops each chunk holds O(chunk) entries;
+    ``start`` resumes it at a segment boundary.  The checkpoints come from
+    the manifest records, whose tiling was proven at archive recovery and
+    whose first/last sequence and end hash
+    :meth:`~repro.store.archive.LogArchive.stream_segment` checks against
+    the decoded entries; :func:`run_chunk` verifies the chain in between.
+    A live machine's chunks tile its snapshot-delimited segments.
     """
+    if not getattr(target, "supports_streaming", False):
+        segments = [segment for segment in target.get_snapshot_segments()
+                    if segment.entries]
+        if not segments:
+            return
+        chunks = partition_segments(segments, max_chunks or len(segments))
+        for index, chunk in enumerate(chunks):
+            yield StreamChunk(index=index, segment=chunk,
+                              start_checkpoint=chunk.start_checkpoint(),
+                              end_checkpoint=chunk.end_checkpoint())
+        return
     archive = target.archive
     machine = target.identity
     records, checkpoint = _records_from(archive, machine, start)
@@ -236,23 +248,17 @@ def iter_stream_chunks(target, max_chunks: Optional[int] = None,
     for index, count in enumerate(counts):
         chunk_records = records[cursor:cursor + count]
         cursor += count
-        start_checkpoint = checkpoint
         entries: List[LogEntry] = []
         for record in chunk_records:
-            record_entries = list(archive.stream_segment(record))
-            if verify_chain:
-                checkpoint = extend_checkpoint_batch(checkpoint,
-                                                     record_entries)
-            else:
-                checkpoint = record.end_checkpoint()
-            entries.extend(record_entries)
+            entries.extend(archive.stream_segment(record))
+        start_checkpoint = checkpoint
+        checkpoint = chunk_records[-1].end_checkpoint()
         yield StreamChunk(
             index=index,
             segment=LogSegment(machine=machine, entries=entries,
                                start_hash=start_checkpoint.chain_hash),
             start_checkpoint=start_checkpoint,
             end_checkpoint=checkpoint,
-            sealed_by_snapshot=chunk_records[-1].sealed_by_snapshot,
         )
 
 
@@ -279,7 +285,7 @@ def fetch_verified_snapshot_entry(target, snapshot_entry: LogEntry
 
 
 # ---------------------------------------------------------------------------
-# Stage 4: bounded-memory stream cross-checks
+# Stage 2: the whole-log checks the parent runs
 # ---------------------------------------------------------------------------
 
 class StreamingCrossChecker:
@@ -391,31 +397,266 @@ class StreamingCrossChecker:
 
 
 # ---------------------------------------------------------------------------
+# Stage 3: the chunk kernel
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ChunkJob:
+    """Everything the kernel needs to audit one chunk, with no live objects.
+
+    On a worker pool every field pickles, so a job can cross a process
+    boundary (``key_view`` is then a
+    :class:`~repro.crypto.keys.StaticKeyView`; inline it is the auditor's
+    own keystore).  The chunk's position in the log is ``checkpoint``, the
+    chain state just before its first entry.
+    """
+
+    machine: str
+    chunk_index: int
+    segment: LogSegment
+    checkpoint: ChainCheckpoint
+    #: the target's authenticators inside the chunk, in sequence order
+    authenticators: List[Authenticator]
+    key_view: Any
+    reference_image: VMImage
+    #: verified snapshot state the chunk replays from (None = the image)
+    initial_state: Optional[Dict[str, Any]] = None
+    #: RECV payloads logged before the chunk and not yet injected
+    carried_payloads: Dict[str, bytes] = field(default_factory=dict)
+    cost_params: CostParameters = field(default_factory=CostParameters)
+    #: modelled cost of one signature verification under the target's scheme
+    verify_seconds: float = 0.0
+    #: run the stream cross-checks in the kernel too: off for the chunks of
+    #: a whole-machine audit (the parent runs them over the whole log), on
+    #: for spot-check chunks, which are audited in isolation
+    check_cross_references: bool = False
+
+
+@dataclass
+class ChunkOutcome:
+    """What the kernel reports back for one chunk."""
+
+    chunk_index: int
+    verdict: Verdict = Verdict.PASS
+    phase: AuditPhase = AuditPhase.COMPLETE
+    reason: str = ""
+    end_checkpoint: Optional[ChainCheckpoint] = None
+    authenticators_checked: int = 0
+    signature_windows: int = 0
+    replay_report: Optional[ReplayReport] = None
+    #: the kernel's share of the modelled cost (signature checks, replay);
+    #: the parent adds the download share
+    cost: AuditCost = field(default_factory=AuditCost)
+    #: measured wall seconds of the whole run and of its chain-verify,
+    #: signature and replay stages (telemetry, recorded by the parent)
+    wall_seconds: float = 0.0
+    verify_wall_seconds: float = 0.0
+    signature_wall_seconds: float = 0.0
+    replay_wall_seconds: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return self.verdict is Verdict.PASS
+
+    def fail(self, phase: AuditPhase, reason: str) -> None:
+        self.verdict = Verdict.FAIL
+        self.phase = phase
+        self.reason = reason
+
+
+def run_chunk(job: ChunkJob) -> ChunkOutcome:
+    """Audit one chunk, inline or inside a pool worker.
+
+    The per-chunk share of the three audit steps of Section 4.5: tamper
+    check (the chain from the checkpoint, then the authenticators), the
+    per-entry syntactic checks, and replay from the chunk's verified
+    snapshot.  Stops at the first failing step, like the serial auditor.
+    """
+    outcome = ChunkOutcome(chunk_index=job.chunk_index)
+    started = time.perf_counter()
+    _audit_chunk(job, outcome)
+    outcome.wall_seconds = time.perf_counter() - started
+    return outcome
+
+
+def _audit_chunk(job: ChunkJob, outcome: ChunkOutcome) -> None:
+    segment = job.segment
+    stage_started = time.perf_counter()
+    try:
+        outcome.end_checkpoint = extend_checkpoint_batch(job.checkpoint,
+                                                         segment.entries)
+    except HashChainError as exc:
+        outcome.fail(AuditPhase.AUTHENTICATOR_CHECK, str(exc))
+        return
+    signatures_started = time.perf_counter()
+    outcome.verify_wall_seconds = signatures_started - stage_started
+    problem = _verify_authenticators(job, outcome)
+    outcome.signature_wall_seconds = time.perf_counter() - signatures_started
+    if problem is not None:
+        outcome.fail(AuditPhase.AUTHENTICATOR_CHECK, problem)
+        return
+
+    syntactic = SyntacticChecker(
+        job.key_view,
+        check_cross_references=job.check_cross_references).check(segment)
+    if not syntactic.ok:
+        outcome.fail(AuditPhase.SYNTACTIC_CHECK,
+                     "; ".join(syntactic.problems[:3]))
+        return
+
+    replay_started = time.perf_counter()
+    checker = SemanticChecker(job.reference_image, job.cost_params)
+    report = checker.check(segment, initial_state=job.initial_state,
+                           carried_payloads=job.carried_payloads)
+    outcome.replay_wall_seconds = time.perf_counter() - replay_started
+    outcome.replay_report = report
+    outcome.cost.semantic_seconds = checker.estimate_timing(report).replay_seconds
+    if report.diverged:
+        outcome.fail(AuditPhase.SEMANTIC_CHECK, report.divergence.describe())
+
+
+def _verify_authenticators(job: ChunkJob,
+                           outcome: ChunkOutcome) -> Optional[str]:
+    """Windowed batch verification plus each authenticator's chain binding.
+
+    Returns the first problem, or ``None``.  Runs after the chain check, so
+    the chunk's entries are contiguous and indexable by sequence.
+    """
+    entries = job.segment.entries
+    cost = outcome.cost
+    for cursor in range(0, len(job.authenticators), DEFAULT_SIGNATURE_WINDOW):
+        window = job.authenticators[cursor:cursor + DEFAULT_SIGNATURE_WINDOW]
+        valid, invalid, stats = batch_verify_authenticators(window,
+                                                            job.key_view)
+        outcome.signature_windows += 1
+        cost.signatures_verified += stats.total
+        cost.signature_screen_operations += stats.screen_operations
+        cost.signature_seconds += job.verify_seconds * (
+            stats.screen_operations + stats.single_verifications)
+        if invalid:
+            return (f"authenticator for sequence {window[invalid[0]].sequence}"
+                    f" has an invalid signature")
+        for auth in valid:
+            entry = entries[auth.sequence - entries[0].sequence]
+            if entry.chain_hash != auth.chain_hash:
+                return (f"log entry {auth.sequence} does not match the "
+                        f"authenticator issued by {job.machine!r} "
+                        f"(log was tampered with or forked)")
+            outcome.authenticators_checked += 1
+    return None
+
+
+def scheme_verify_seconds(keystore, machine: str,
+                          obs: Observability = NULL_OBS) -> float:
+    """Modelled cost of one signature verification under ``machine``'s scheme.
+
+    A machine with no registered key costs 0.0 (counted as
+    ``audit.scheme_cost_unknown``); any other error propagates.
+    """
+    try:
+        scheme_name = keystore.verify_key_for(machine).scheme_name
+    except CertificateError:
+        obs.metrics.counter("audit.scheme_cost_unknown").inc()
+        return 0.0
+    return get_scheme(scheme_name).costs().verify_seconds
+
+
+class ChunkJobBuilder:
+    """Builds one machine's :class:`ChunkJob` s for the kernel.
+
+    Used by the pipeline and by the spot checker.  The authenticators are
+    sorted once, so each job takes its share by bisection; a ``portable``
+    builder (for a worker pool) makes one picklable
+    :class:`~repro.crypto.keys.StaticKeyView`, an inline one hands the
+    kernel the auditor's keystore.
+    """
+
+    def __init__(self, auditor, machine: str, portable: bool = False,
+                 check_cross_references: bool = False) -> None:
+        self.auditor = auditor
+        self.machine = machine
+        self.check_cross_references = check_cross_references
+        self._key_view = (auditor.keystore.static_view() if portable
+                          else auditor.keystore)
+        self._verify_seconds = scheme_verify_seconds(auditor.keystore,
+                                                     machine, auditor.obs)
+        self._authenticators = sorted(
+            (auth for auth in auditor.authenticators_for(machine)
+             if auth.machine == machine),
+            key=lambda auth: auth.sequence)
+        self._sequences = [auth.sequence for auth in self._authenticators]
+
+    def job(self, index: int, segment: LogSegment,
+            checkpoint: ChainCheckpoint,
+            initial_state: Optional[Dict[str, Any]] = None,
+            carried_payloads: Optional[Dict[str, bytes]] = None) -> ChunkJob:
+        authenticators: List[Authenticator] = []
+        if segment.entries:
+            authenticators = self._authenticators[
+                bisect_left(self._sequences, segment.first_sequence):
+                bisect_right(self._sequences, segment.last_sequence)]
+        auditor = self.auditor
+        return ChunkJob(
+            machine=self.machine, chunk_index=index, segment=segment,
+            checkpoint=checkpoint, authenticators=authenticators,
+            key_view=self._key_view, reference_image=auditor.reference_image,
+            initial_state=initial_state,
+            carried_payloads=dict(carried_payloads or {}),
+            cost_params=auditor.cost_params,
+            verify_seconds=self._verify_seconds,
+            check_cross_references=self.check_cross_references)
+
+
+def record_chunk_telemetry(obs: Observability, machine: str,
+                           outcome: ChunkOutcome, entries: int,
+                           checkpoint_seq: int) -> None:
+    """Record one kernel run in the parent, whichever executor ran it."""
+    metrics = obs.metrics
+    metrics.counter("audit.chunks_total").inc()
+    metrics.counter("audit.entries_streamed_total").inc(entries)
+    if not obs.enabled:
+        return
+    metrics.histogram("audit.chunk.verify_seconds").observe(
+        outcome.verify_wall_seconds)
+    metrics.histogram("audit.chunk.signature_seconds").observe(
+        outcome.signature_wall_seconds)
+    metrics.histogram("audit.chunk.replay_seconds").observe(
+        outcome.replay_wall_seconds)
+    # The kernel's clock may be another process's: the span ends when the
+    # parent collects the outcome.
+    obs.tracer.event("audit.chunk", domain="wall", track=machine,
+                     timestamp=time.perf_counter() - outcome.wall_seconds,
+                     duration=outcome.wall_seconds, chunk=outcome.chunk_index,
+                     entries=entries, checkpoint_seq=checkpoint_seq)
+
+
+# ---------------------------------------------------------------------------
 # The pipeline
 # ---------------------------------------------------------------------------
 
 @dataclass
 class StreamStats:
-    """Streaming-specific bookkeeping (not part of the canonical result)."""
+    """Pipeline bookkeeping (not part of the canonical result)."""
 
     chunks: int = 0
-    segments: int = 0
     entries: int = 0
     #: largest number of entries resident at once (the memory bound)
     peak_chunk_entries: int = 0
     signature_windows: int = 0
-    signature_screen_operations: int = 0
-    #: why the pipeline handed over to the materializing audit (None = it
-    #: streamed to the end)
+    #: why the pipeline handed over to the serial audit (None = it streamed
+    #: to the end)
     fallback_reason: Optional[str] = None
 
 
 @dataclass
 class StreamAuditReport:
-    """A streamed audit's canonical result plus the pipeline's bookkeeping."""
+    """One machine's canonical result plus the pipeline's bookkeeping."""
 
     result: AuditResult
     stats: StreamStats = field(default_factory=StreamStats)
+    #: modelled cost of each unit of work the audit ran: one per kernel run,
+    #: plus the serial audit after a hand-over (the fleet schedule's items)
+    work_costs: List[AuditCost] = field(default_factory=list)
 
     @property
     def used_fallback(self) -> bool:
@@ -427,314 +668,221 @@ class StreamAuditReport:
 
 
 class StreamingAuditPipeline:
-    """Audits an archive-backed target in O(chunk) memory.
+    """Audits one machine's whole log, chunk by chunk.
 
-    ``confirm_failures_serially`` (default) re-runs the materializing serial
-    audit whenever the stream detects anything — fault or operational
-    inability to continue — so verdicts and evidence are canonical.  With it
-    off, failures are synthesised from the streamed state: the verdict is
-    the same, but the evidence covers only the failing chunk (bounded
-    memory even under accusation).
+    ``executor`` is ``None`` to run :func:`run_chunk` inline, one chunk after
+    another, so only O(chunk) entries are resident; or a
+    ``concurrent.futures`` executor, to which :meth:`start` submits every
+    chunk job, so that the chunks of several machines overlap on one pool.
     """
 
-    def __init__(self, auditor, target,
-                 max_chunks: Optional[int] = None,
-                 signature_window: int = DEFAULT_SIGNATURE_WINDOW,
-                 confirm_failures_serially: bool = True,
-                 obs: Optional[Observability] = None) -> None:
-        if signature_window < 1:
-            raise ValueError(
-                f"signature window must be >= 1, got {signature_window}")
+    def __init__(self, auditor, target, max_chunks: Optional[int] = None,
+                 executor=None) -> None:
         self.auditor = auditor
         self.target = target
         self.max_chunks = max_chunks
-        self.signature_window = signature_window
-        self.confirm_failures_serially = confirm_failures_serially
-        #: telemetry sink — defaults to the auditor's bundle, so an
-        #: observed auditor observes its streamed audits too
-        self.obs = ensure_obs(obs if obs is not None
-                              else getattr(auditor, "obs", None))
-
-    # -- public API ----------------------------------------------------------
+        self.executor = executor
+        self.obs = auditor.obs
+        self.stats = StreamStats()
+        self._outcomes: Iterator[Tuple[ChunkJob, ChunkOutcome]] = iter(())
+        self._started = 0.0
+        # Whole-log state the parent keeps while the chunks stream past.
+        self._meter: Optional[ModelledCostAccumulator] = None
+        self._active_buckets: Set[int] = set()
+        self._cross = StreamingCrossChecker()
+        self._initial_snapshot_bytes = 0
+        #: download share of each chunk's modelled cost, by chunk index
+        self._downloads: List[AuditCost] = []
+        self._work: List[AuditCost] = []
 
     def run(self) -> StreamAuditReport:
+        self.start()
+        return self.finish()
+
+    def start(self) -> None:
+        """Begin the audit; on a pool, every chunk job is submitted here."""
         machine = self.target.identity
-        if not self.target.archive.segment_records(machine):
-            # Mirror the materializing path byte for byte: an empty archive
-            # is an operational error, not a verdict.
+        if getattr(self.target, "supports_streaming", False) \
+                and not self.target.archive.segment_records(machine):
+            # Mirror the materializing path: an empty archive is an
+            # operational error, not a verdict.
             raise StoreError(f"no archived segments for {machine!r}")
-        stats = StreamStats()
-        obs = self.obs
-        obs.progress.machine_started(machine)
-        with obs.tracer.timed("audit.stream", track=machine,
-                              machine=machine) as timer:
-            try:
-                result = self._stream(stats)
-            except _StreamFallback as handover:
-                stats.fallback_reason = handover.reason
-                result = self._fallback(handover)
-        # The pipeline's wall clock covers the whole streamed audit,
-        # including any serial-confirm fallback (whose own audit_segment
-        # timing it supersedes).
-        result.wall_seconds = timer.seconds
-        obs.progress.machine_done(machine, result.verdict.value, timer.seconds)
-        return StreamAuditReport(result=result, stats=stats)
+        self.obs.progress.machine_started(machine)
+        self._started = time.perf_counter()
+        jobs = self._jobs()
+        if self.executor is None:
+            self._outcomes = ((job, run_chunk(job)) for job in jobs)
+            return
+        submitted = []
+        handover: Optional[_StreamFallback] = None
+        try:
+            for job in jobs:
+                submitted.append((job, self.executor.submit(run_chunk, job)))
+        except _StreamFallback as exc:
+            handover = exc
+        self._outcomes = _pool_results(submitted, handover)
 
-    # -- the streaming fast path ---------------------------------------------
+    def finish(self) -> StreamAuditReport:
+        """Collect the chunk outcomes into the machine's canonical result."""
+        machine = self.target.identity
+        try:
+            result = self._collect()
+        except _StreamFallback as handover:
+            # Drop the suspended chunk stream (and the chunk it holds).
+            self._outcomes = iter(())
+            self.stats.fallback_reason = handover.reason
+            result = self.auditor.audit(self.target, streaming=False)
+            self._work.append(result.cost)
+        seconds = time.perf_counter() - self._started
+        result.wall_seconds = seconds
+        self.obs.tracer.event("audit.stream", domain="wall", track=machine,
+                              timestamp=self._started, duration=seconds,
+                              machine=machine)
+        self.obs.progress.machine_done(machine, result.verdict.value, seconds)
+        return StreamAuditReport(result=result, stats=self.stats,
+                                 work_costs=self._work)
 
-    def _stream(self, stats: StreamStats) -> AuditResult:
-        auditor = self.auditor
+    # -- parent side ---------------------------------------------------------
+
+    def _jobs(self) -> Iterator[ChunkJob]:
+        """Build each chunk's job and feed its entries to the whole-log checks."""
         target = self.target
+        auditor = self.auditor
         machine = target.identity
-
-        truncated = target.is_truncated()
-        initial_state, snapshot_bytes = (target.initial_state() if truncated
-                                         else (None, 0))
-        authenticators = [auth for auth in auditor.authenticators_for(machine)
-                          if auth.machine == machine]
-        syntactic = SyntacticChecker(auditor.keystore,
-                                     check_cross_references=False)
-        semantic = SemanticChecker(auditor.reference_image, auditor.cost_params)
-        cross = StreamingCrossChecker()
-        start = target.start_checkpoint()
-        meter = ModelledCostAccumulator(
-            machine, start.chain_hash,
-            size_hint=getattr(target, "wire_size_hint", None))
-
-        # Telemetry (observers only — nothing below reads these back).
-        obs = self.obs
-        observed = obs.enabled
-        verify_hist = obs.metrics.histogram("audit.chunk.verify_seconds")
-        signature_hist = obs.metrics.histogram("audit.chunk.signature_seconds")
-        replay_hist = obs.metrics.histogram("audit.chunk.replay_seconds")
-        chunks_counter = obs.metrics.counter("audit.chunks_total")
-        entries_counter = obs.metrics.counter("audit.entries_streamed_total")
-
-        merged = ReplayReport(machine=machine)
-        active_buckets: Set[int] = set()
-        authenticators_checked = 0
-        #: RECV payloads not yet consumed by a MAC-layer injection — carried
-        #: across chunk boundaries so chunked replay resolves the same
-        #: references the whole-log replay would
-        carried_payloads: Dict[str, bytes] = {}
-        previous_snapshot_entry: Optional[LogEntry] = None
-        last_sequence = start.sequence
-
+        builder = ChunkJobBuilder(auditor, machine,
+                                  portable=self.executor is not None)
+        state, snapshot_bytes = replay_start(target)
+        self._initial_snapshot_bytes = snapshot_bytes
+        stats = self.stats
+        carried: Dict[str, bytes] = {}
+        boundary: Optional[LogEntry] = None
+        compressed = 0
         chunks = iter_stream_chunks(target, max_chunks=self.max_chunks)
         while True:
-            decode_started = time.perf_counter() if observed else 0.0
             try:
                 chunk = next(chunks)
             except StopIteration:
-                break
-            except HashChainError as exc:
-                # Same failure class the serial tamper check reports; the
-                # fallback produces the canonical evidence for it.
-                raise _StreamFallback(
-                    AuditPhase.AUTHENTICATOR_CHECK, str(exc), None, None)
-            if observed:
-                # Decode + incremental chain verification happen inside the
-                # chunk iterator's next().
-                verify_hist.observe(time.perf_counter() - decode_started)
-
-            segment = chunk.segment
-            stats.chunks += 1
-            stats.entries += len(segment.entries)
-            stats.peak_chunk_entries = max(stats.peak_chunk_entries,
-                                           len(segment.entries))
-            chunks_counter.inc()
-            entries_counter.inc(len(segment.entries))
-            chunk_started = time.perf_counter() if observed else 0.0
-            last_sequence = chunk.end_checkpoint.sequence
-            meter.add_many(segment.entries)
-            for entry in segment.entries:
-                active_buckets.add(int(entry.timestamp))
-                cross.feed(entry)
-
-            # Commitment check: windowed batch signature verification plus
-            # the chain-hash comparison against the streamed entries.
-            signature_started = time.perf_counter() if observed else 0.0
-            authenticators_checked += self._check_authenticators(
-                segment, authenticators, stats)
-            if observed:
-                signature_hist.observe(
-                    time.perf_counter() - signature_started)
-
-            # Per-entry syntactic checks (stream cross-checks run above).
-            report = syntactic.check(segment)
-            if not report.ok:
-                raise _StreamFallback(AuditPhase.SYNTACTIC_CHECK,
-                                      "; ".join(report.problems[:3]),
-                                      chunk, None)
-
-            # Semantic check: replay this chunk from its verified boundary.
+                return
+            except (HashChainError, SegmentError) as exc:
+                raise _StreamFallback(str(exc))
             if chunk.index == 0:
-                chunk_state = initial_state
+                self._meter = ModelledCostAccumulator(
+                    machine, chunk.start_checkpoint.chain_hash,
+                    size_hint=getattr(target, "wire_size_hint", None))
             else:
-                if previous_snapshot_entry is None:
-                    # Manifest marked the boundary sealed but no SNAPSHOT
-                    # entry streamed past: cannot anchor this chunk — the
-                    # materializing audit (which replays from the start)
-                    # decides canonically.
+                if boundary is None:
+                    # Nothing anchors this chunk's replay; the serial audit
+                    # (which replays from the start) decides.
                     raise _StreamFallback(
-                        None, "the segment preceding the chunk does not "
-                              "end with a snapshot", chunk, None)
+                        "the segment preceding the chunk does not end with "
+                        "a snapshot")
                 try:
-                    chunk_state, _ = fetch_verified_snapshot_entry(
-                        target, previous_snapshot_entry)
+                    state, snapshot_bytes = fetch_verified_snapshot_entry(
+                        target, boundary)
                 except ReproError as exc:
-                    raise _StreamFallback(None, str(exc), chunk, None)
-            replay_started = time.perf_counter() if observed else 0.0
-            replay = semantic.check(segment, initial_state=chunk_state,
-                                    carried_payloads=dict(carried_payloads))
-            if observed:
-                replay_hist.observe(time.perf_counter() - replay_started)
-            self._merge_replay(merged, replay)
-            if replay.diverged:
-                raise _StreamFallback(AuditPhase.SEMANTIC_CHECK,
-                                      replay.divergence.describe(),
-                                      chunk, chunk_state)
+                    raise _StreamFallback(str(exc))
+            entries = chunk.segment.entries
+            job = builder.job(chunk.index, chunk.segment,
+                              chunk.start_checkpoint, state, carried)
 
-            for entry in segment.entries:
-                if entry.entry_type is EntryType.RECV:
-                    payload = entry.content.get("payload")
-                    if payload is not None:
-                        carried_payloads[str(entry.content["message_id"])] = \
-                            bytes.fromhex(payload)
-                elif entry.entry_type is EntryType.MACLAYER \
-                        and entry.content.get("direction") == "in":
-                    carried_payloads.pop(str(entry.content["message_id"]), None)
-            snapshot_entries = segment.entries_of_type(EntryType.SNAPSHOT)
-            previous_snapshot_entry = (snapshot_entries[-1]
-                                       if snapshot_entries else None)
-            if observed:
-                obs.tracer.event(
-                    "audit.chunk", domain="wall", track=machine,
-                    timestamp=chunk_started,
-                    duration=time.perf_counter() - chunk_started,
-                    chunk=chunk.index, entries=len(segment.entries),
-                    checkpoint_seq=chunk.end_checkpoint.sequence)
-            obs.progress.chunk_done(machine, entries=len(segment.entries),
-                                    checkpoint_seq=chunk.end_checkpoint.sequence)
+            meter = self._meter
+            raw_bytes = meter.raw_bytes
+            meter.add_many(entries)
+            # Chunks end at SNAPSHOT entries, where the meter closes its
+            # sub-segment anyway, so closing it here only settles the tail.
+            total = meter.finish()
+            self._downloads.append(AuditCost.download(
+                meter.raw_bytes - raw_bytes, total - compressed,
+                snapshot_bytes, auditor.cost_params))
+            compressed = total
+            for entry in entries:
+                self._active_buckets.add(int(entry.timestamp))
+                self._cross.feed(entry)
+                _track_in_flight(carried, entry)
+            boundary = (entries[-1] if entries and entries[-1].entry_type
+                        is EntryType.SNAPSHOT else None)
+            stats.chunks += 1
+            stats.entries += len(entries)
+            stats.peak_chunk_entries = max(stats.peak_chunk_entries,
+                                           len(entries))
+            yield job
 
-        cross.finish(last_sequence)
-        if not cross.ok:
-            raise _StreamFallback(AuditPhase.SYNTACTIC_CHECK,
-                                  "; ".join(cross.problems[:3]), None, None)
+    def _collect(self) -> AuditResult:
+        auditor = self.auditor
+        machine = self.target.identity
+        stats = self.stats
+        replays: List[ReplayReport] = []
+        authenticators_checked = 0
+        end: Optional[ChainCheckpoint] = None
+        for job, outcome in self._outcomes:
+            entries = len(job.segment.entries)
+            record_chunk_telemetry(self.obs, machine, outcome, entries,
+                                   job.checkpoint.sequence + entries)
+            if not outcome.ok:
+                raise _StreamFallback(outcome.reason)
+            # The per-chunk chain proofs must tile into one for the log.
+            if end is not None and job.checkpoint != end:
+                raise _StreamFallback(
+                    f"chunk {job.chunk_index} does not extend the chunk "
+                    f"before it")
+            end = outcome.end_checkpoint
+            cost = self._downloads[job.chunk_index]
+            cost.add(outcome.cost)
+            self._work.append(cost)
+            replays.append(outcome.replay_report)
+            authenticators_checked += outcome.authenticators_checked
+            stats.signature_windows += outcome.signature_windows
+            self.obs.progress.chunk_done(machine, entries=entries,
+                                         checkpoint_seq=end.sequence)
+        if end is None:
+            raise _StreamFallback("the log has no entries to stream")
+        self._cross.finish(end.sequence)
+        if not self._cross.ok:
+            raise _StreamFallback("; ".join(self._cross.problems[:3]))
 
-        # Assemble the serial-identical PASS result.
+        # The serial-identical PASS result.
         params = auditor.cost_params
-        raw_bytes = meter.raw_bytes
-        cost = AuditCost(
-            log_bytes_downloaded=raw_bytes,
-            compressed_log_bytes=meter.finish(),
-            snapshot_bytes_downloaded=snapshot_bytes,
-            compression_seconds=raw_bytes / params.compress_bytes_per_second,
-            decompression_seconds=raw_bytes / params.decompress_bytes_per_second,
-            syntactic_seconds=raw_bytes / params.syntactic_check_bytes_per_second,
-        )
-        merged.entries_replayed = stats.entries
-        merged.active_seconds = float(len(active_buckets))
-        cost.semantic_seconds = semantic.estimate_timing(merged).replay_seconds
+        cost = AuditCost.download(self._meter.raw_bytes, self._meter.finish(),
+                                  self._initial_snapshot_bytes, params)
+        replay = merge_replay_reports(machine, replays,
+                                      float(len(self._active_buckets)))
+        cost.semantic_seconds = SemanticChecker(
+            auditor.reference_image, params).estimate_timing(
+                replay).replay_seconds
         return AuditResult(machine=machine, auditor=auditor.identity,
                            verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
                            authenticators_checked=authenticators_checked,
-                           replay_report=merged, cost=cost)
+                           replay_report=replay, cost=cost)
 
-    def _check_authenticators(self, segment: LogSegment, authenticators,
-                              stats: StreamStats) -> int:
-        """Windowed batch verification of the chunk's authenticators."""
-        if not segment.entries:
-            return 0
-        first, last = segment.first_sequence, segment.last_sequence
-        relevant = [auth for auth in authenticators
-                    if first <= auth.sequence <= last]
-        by_sequence = {entry.sequence: entry for entry in segment.entries}
-        checked = 0
-        for cursor in range(0, len(relevant), self.signature_window):
-            window = relevant[cursor:cursor + self.signature_window]
-            valid, invalid, batch_stats = batch_verify_authenticators(
-                window, self.auditor.keystore)
-            stats.signature_windows += 1
-            stats.signature_screen_operations += batch_stats.screen_operations
-            if invalid:
-                bad = window[invalid[0]]
-                raise _StreamFallback(
-                    AuditPhase.AUTHENTICATOR_CHECK,
-                    f"authenticator for sequence {bad.sequence} has an "
-                    f"invalid signature", None, None)
-            for auth in valid:
-                entry = by_sequence.get(auth.sequence)
-                if entry is None:
-                    continue
-                if entry.chain_hash != auth.chain_hash:
-                    raise _StreamFallback(
-                        AuditPhase.AUTHENTICATOR_CHECK,
-                        f"log entry {auth.sequence} does not match the "
-                        f"authenticator issued by {segment.machine!r} "
-                        f"(log was tampered with or forked)", None, None)
-                checked += 1
-        return checked
 
-    @staticmethod
-    def _merge_replay(merged: ReplayReport, chunk_report: ReplayReport) -> None:
-        merged.events_injected += chunk_report.events_injected
-        merged.clock_reads_served += chunk_report.clock_reads_served
-        merged.outputs_checked += chunk_report.outputs_checked
-        merged.snapshots_checked += chunk_report.snapshots_checked
-        # Execution counters are absolute (restored from each boundary
-        # snapshot), so the last chunk's count IS the whole-log count.
-        merged.instructions_executed = chunk_report.instructions_executed
+def _track_in_flight(carried: Dict[str, bytes], entry: LogEntry) -> None:
+    """Keep the RECV payloads not yet injected (a chunk's replay needs them)."""
+    if entry.entry_type is EntryType.RECV:
+        payload = entry.content.get("payload")
+        if payload is not None:
+            carried[str(entry.content["message_id"])] = bytes.fromhex(payload)
+    elif entry.entry_type is EntryType.MACLAYER \
+            and entry.content.get("direction") == "in":
+        carried.pop(str(entry.content["message_id"]), None)
 
-    # -- the materializing slow path -----------------------------------------
 
-    def _fallback(self, handover: "_StreamFallback") -> AuditResult:
-        """Produce the canonical result once streaming detected something."""
-        auditor = self.auditor
-        target = self.target
-        machine = target.identity
-        if self.confirm_failures_serially:
-            if target.is_truncated():
-                state, snapshot_bytes = target.initial_state()
-            else:
-                state, snapshot_bytes = None, 0
-            return auditor.audit_segment(machine, target.get_log_segment(),
-                                         initial_state=state,
-                                         snapshot_bytes=snapshot_bytes)
-        phase = handover.phase or AuditPhase.SEMANTIC_CHECK
-        # Bounded evidence: the failing chunk (or, for a chain break
-        # detected while decoding, no segment at all — the authenticators
-        # alone carry the accusation, as for an unanswered challenge).
-        evidence = Evidence(
-            machine=machine, accuser=auditor.identity, reason=handover.reason,
-            segment=handover.chunk.segment if handover.chunk else None,
-            authenticators=auditor.authenticators_for(machine),
-            reference_image_hash=auditor.reference_image.image_hash(),
-            initial_state=handover.chunk_state)
-        return AuditResult(machine=machine, auditor=auditor.identity,
-                           verdict=Verdict.FAIL, phase=phase,
-                           reason=handover.reason, evidence=evidence)
+def _pool_results(submitted, handover: Optional["_StreamFallback"]):
+    """Outcomes of pool-submitted jobs in order, then any planning hand-over."""
+    for job, future in submitted:
+        yield job, future.result()
+    if handover is not None:
+        raise handover
 
 
 class _StreamFallback(Exception):
-    """Internal: the stream detected something; hand over to the slow path."""
+    """Internal: the pipeline detected something; hand over to the serial audit."""
 
-    def __init__(self, phase: Optional[AuditPhase], reason: str,
-                 chunk: Optional[StreamChunk],
-                 chunk_state: Optional[Dict[str, Any]]) -> None:
+    def __init__(self, reason: str) -> None:
         super().__init__(reason)
-        self.phase = phase
         self.reason = reason
-        self.chunk = chunk
-        self.chunk_state = chunk_state
 
 
 def stream_audit(auditor, target,
-                 max_chunks: Optional[int] = None,
-                 signature_window: int = DEFAULT_SIGNATURE_WINDOW,
-                 confirm_failures_serially: bool = True) -> StreamAuditReport:
-    """Audit an archive-backed target on the streaming pipeline."""
-    return StreamingAuditPipeline(
-        auditor, target, max_chunks=max_chunks,
-        signature_window=signature_window,
-        confirm_failures_serially=confirm_failures_serially).run()
+                 max_chunks: Optional[int] = None) -> StreamAuditReport:
+    """Audit one machine on the pipeline, running the kernel inline."""
+    return StreamingAuditPipeline(auditor, target, max_chunks=max_chunks).run()

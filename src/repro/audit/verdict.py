@@ -70,6 +70,24 @@ class AuditCost:
         self.signature_screen_operations += other.signature_screen_operations
 
     @classmethod
+    def download(cls, raw_bytes: int, compressed_bytes: int,
+                 snapshot_bytes: int, params) -> "AuditCost":
+        """Cost of obtaining ``raw_bytes`` of log and syntactically checking it.
+
+        ``compressed_bytes`` is the modelled download size
+        (:func:`repro.log.codec.modelled_compressed_log_bytes`); ``params``
+        is a :class:`~repro.metrics.perfmodel.CostParameters`.
+        """
+        return cls(
+            log_bytes_downloaded=raw_bytes,
+            compressed_log_bytes=compressed_bytes,
+            snapshot_bytes_downloaded=snapshot_bytes,
+            compression_seconds=raw_bytes / params.compress_bytes_per_second,
+            decompression_seconds=raw_bytes / params.decompress_bytes_per_second,
+            syntactic_seconds=raw_bytes / params.syntactic_check_bytes_per_second,
+        )
+
+    @classmethod
     def total(cls, costs: Iterable["AuditCost"]) -> "AuditCost":
         """Sum of many audit costs (the fleet-level aggregate)."""
         merged = cls()

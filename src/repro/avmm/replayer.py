@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.crypto import hashing
 from repro.errors import ReplayInputError
@@ -74,6 +74,34 @@ class ReplayReport:
     @property
     def ok(self) -> bool:
         return self.divergence is None
+
+
+#: :class:`ReplayReport` counters that add up over consecutive chunks of a log
+SUMMED_COUNTERS = ("entries_replayed", "events_injected", "clock_reads_served",
+                   "upstream_calls_served", "outputs_checked",
+                   "snapshots_checked")
+#: counters a chunk reports as absolute values: its VM restores the
+#: instruction counter from the boundary snapshot, so the last chunk's count
+#: is the whole log's (summing would count every restored prefix again)
+ABSOLUTE_COUNTERS = ("instructions_executed",)
+
+
+def merge_replay_reports(machine: str, reports: Iterable[ReplayReport],
+                         active_seconds: float) -> ReplayReport:
+    """The whole-log report of consecutive, passing chunk replays.
+
+    Every counter is either summed or absolute (see the two tuples above).
+    ``active_seconds`` is neither: it counts distinct one-second buckets,
+    and a bucket can straddle a chunk boundary, so the caller passes the
+    whole-log count.
+    """
+    merged = ReplayReport(machine=machine, active_seconds=active_seconds)
+    for report in reports:
+        for name in SUMMED_COUNTERS:
+            setattr(merged, name, getattr(merged, name) + getattr(report, name))
+        for name in ABSOLUTE_COUNTERS:
+            setattr(merged, name, getattr(report, name))
+    return merged
 
 
 # Items in the replay schedule -------------------------------------------------

@@ -268,7 +268,7 @@ def run_parallel_audit(num_machines: int = 16, duration: float = 30.0,
                        worker_counts: Sequence[int] = (1, 2, 4, 8),
                        seed: int = 7,
                        snapshot_interval: Optional[float] = 10.0,
-                       executor: str = "auto",
+                       executor: str = "process",
                        keep_reports: bool = False) -> ParallelAuditResult:
     """Audit one recorded fleet at every requested worker count."""
     fleet = build_fleet(num_machines=num_machines, duration=duration, seed=seed,

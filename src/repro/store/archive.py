@@ -1208,8 +1208,8 @@ class LogArchive:
 class ArchiveSnapshotStore:
     """Duck-typed stand-in for :class:`~repro.vm.snapshot.SnapshotManager`.
 
-    The audit engine's boundary-snapshot fetch
-    (:func:`repro.audit.engine.fetch_verified_snapshot`) only calls
+    The audit pipeline's boundary-snapshot fetch
+    (:func:`repro.audit.stream.fetch_verified_snapshot_entry`) only calls
     :meth:`get` and :meth:`transfer_cost_bytes`; this adapter serves both
     from the archive, reporting the transfer cost the *source machine*
     recorded so archive-backed audit costs equal in-memory ones.

@@ -1,23 +1,37 @@
-"""Tests for the parallel batch-audit engine and its crypto/log substrate.
+"""Tests for the fleet audit scheduler and its crypto/log substrate.
 
-Covers the acceptance points of the engine design: batch signature
+Covers the acceptance points of the one audit pipeline: batch signature
 verification pinpoints a single bad signature; a chunked audit of a tampered
-log yields the same evidence as the serial path; ``workers=1`` and
-``workers=4`` produce identical verdicts; and the incremental hash-chain /
-chunk-partitioning primitives behave.
+log yields the same evidence as the serial path; every worker count and
+executor produces a result equal to the serial audit; the replay merge
+covers every counter; and the incremental hash-chain / chunk-partitioning
+primitives behave.
 """
+
+import dataclasses
+import pickle
 
 import pytest
 
-from repro.audit.engine import (
-    AuditAssignment,
-    AuditScheduler,
-    run_chunk,
-)
+from repro.audit.auditor import Auditor
+from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.spot_check import SpotChecker
+from repro.audit.stream import (
+    ChunkJobBuilder,
+    iter_stream_chunks,
+    run_chunk,
+    scheme_verify_seconds,
+)
+from repro.avmm.replayer import (
+    ABSOLUTE_COUNTERS,
+    SUMMED_COUNTERS,
+    ReplayReport,
+    merge_replay_reports,
+)
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.crypto.signatures import BatchVerifyResult
-from repro.errors import HashChainError
+from repro.errors import HashChainError, SignatureError
+from repro.obs import Observability
 from repro.log.authenticator import batch_verify_authenticators
 from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
 from repro.log.segments import concatenate_segments, partition_segments
@@ -147,22 +161,23 @@ class TestIncrementalChain:
 # The engine
 # ---------------------------------------------------------------------------
 
+def _serial(session, machine):
+    auditor = "player2" if machine != "player2" else "player1"
+    return session.make_auditor(auditor, machine).audit(
+        session.monitors[machine], streaming=False)
+
+
 class TestAuditScheduler:
     def test_workers_1_and_4_produce_identical_verdicts(self, honest_session):
         for machine in honest_session.player_ids + ["server"]:
-            serial = AuditScheduler(workers=1).audit_machine(
-                honest_session.make_auditor("player2" if machine != "player2"
-                                            else "player1", machine),
-                honest_session.monitors[machine])
-            parallel = AuditScheduler(workers=4).audit_machine(
-                honest_session.make_auditor("player2" if machine != "player2"
-                                            else "player1", machine),
-                honest_session.monitors[machine])
-            assert serial.verdict is parallel.verdict is Verdict.PASS
-            assert serial.phase is parallel.phase
-            assert serial.authenticators_checked == parallel.authenticators_checked
-            assert serial.replay_report.events_injected == \
-                parallel.replay_report.events_injected
+            serial = _serial(honest_session, machine)
+            assert serial.verdict is Verdict.PASS
+            for workers in (1, 4):
+                result = AuditScheduler(workers=workers).audit_machine(
+                    honest_session.make_auditor("player2" if machine != "player2"
+                                                else "player1", machine),
+                    honest_session.monitors[machine])
+                assert result == serial, f"{machine} at {workers} workers"
 
     def test_cheater_chunked_audit_matches_serial_evidence(self, cheater_session):
         machine = "player1"
@@ -228,32 +243,35 @@ class TestAuditScheduler:
         assert report.total_cost.signature_screen_operations \
             < report.total_cost.signatures_verified
         for machine_report in report.machine_reports.values():
-            assert not machine_report.confirmed_serially
+            assert machine_report.stats.fallback_reason is None
+        # The schedule's work items are the per-chunk kernel costs.
+        assert report.modelled.serial_seconds == pytest.approx(
+            report.total_cost.total_seconds)
 
     def test_executor_modes_agree(self, honest_session):
         machine = "player1"
-        results = {}
+        serial = _serial(honest_session, machine)
         for executor in ("inline", "thread", "process"):
             engine = AuditScheduler(workers=2, executor=executor)
-            results[executor] = engine.audit_machine(
-                honest_session.make_auditor("server", machine),
+            result = engine.audit_machine(
+                honest_session.make_auditor("player2", machine),
                 honest_session.monitors[machine])
-        verdicts = {result.verdict for result in results.values()}
-        assert verdicts == {Verdict.PASS}
-        counts = {result.authenticators_checked for result in results.values()}
-        assert len(counts) == 1
+            assert result == serial, executor
 
-    def test_auditor_workers_parameter_uses_engine(self, honest_session):
-        from repro.audit.auditor import Auditor
+    def test_workers_default_to_processes(self):
+        assert AuditScheduler(workers=2).executor == "process"
+        assert AuditScheduler(workers=1).executor == "inline"
+        assert AuditScheduler(workers=2, executor="thread").executor == "thread"
+
+    def test_auditor_workers_parameter_uses_the_pool(self, honest_session):
         machine = "player1"
-        auditor = Auditor("server", honest_session.keystore,
+        auditor = Auditor("player2", honest_session.keystore,
                           honest_session.reference_images[machine], workers=4)
         for peer_identity, peer in honest_session.monitors.items():
             if peer_identity != machine:
                 auditor.collect_from_peer(peer, machine)
-        assert auditor.engine is not None
         result = auditor.audit(honest_session.monitors[machine])
-        assert result.verdict is Verdict.PASS
+        assert result == _serial(honest_session, machine)
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -298,29 +316,84 @@ class TestParallelSpotChecker:
     def test_parallel_spot_check_matches_serial(self, honest_session):
         machine = "server"
         serial_checker = SpotChecker(honest_session.make_auditor("player1", machine))
-        parallel_checker = SpotChecker(
-            honest_session.make_auditor("player1", machine),
-            engine=AuditScheduler(workers=4))
+        pooled_auditor = honest_session.make_auditor("player1", machine)
+        pooled_auditor.workers = 4
+        parallel_checker = SpotChecker(pooled_auditor)
         serial_results = serial_checker.check_all_chunks(
             honest_session.monitors[machine], k=1)
         parallel_results = parallel_checker.check_all_chunks(
             honest_session.monitors[machine], k=1)
         assert len(serial_results) == len(parallel_results) >= 1
         for serial_result, parallel_result in zip(serial_results, parallel_results):
-            assert serial_result.chunk_start_index == parallel_result.chunk_start_index
-            assert serial_result.ok and parallel_result.ok
-            assert serial_result.snapshot_bytes == parallel_result.snapshot_bytes
-            assert serial_result.log_bytes == parallel_result.log_bytes
+            assert serial_result.ok
+            assert parallel_result == serial_result
 
 
 class TestChunkJobPickling:
     def test_jobs_for_game_sessions_pickle(self, honest_session):
-        import pickle
         machine = "player1"
-        engine = AuditScheduler(workers=4)
-        auditor = honest_session.make_auditor("server", machine)
-        plan = engine._plan(AuditAssignment(auditor, honest_session.monitors[machine]))
-        assert len(plan.jobs) > 1
-        job = pickle.loads(pickle.dumps(plan.jobs[-1]))
-        outcome = run_chunk(job)
+        monitor = honest_session.monitors[machine]
+        builder = ChunkJobBuilder(honest_session.make_auditor("server", machine),
+                                  machine, portable=True)
+        chunks = list(iter_stream_chunks(monitor, max_chunks=4))
+        assert len(chunks) > 1
+        job = builder.job(0, chunks[0].segment, chunks[0].start_checkpoint)
+        outcome = run_chunk(pickle.loads(pickle.dumps(job)))
         assert outcome.ok, outcome.reason
+        # ...and a process pool runs every chunk of every machine.
+        report = AuditScheduler(workers=2, executor="process").audit_fleet([
+            AuditAssignment(honest_session.make_auditor("server", name),
+                            honest_session.monitors[name])
+            for name in honest_session.player_ids])
+        assert report.executor_used == "process"
+        assert report.chunk_count > len(honest_session.player_ids)
+        for name, machine_report in report.machine_reports.items():
+            assert machine_report.stats.fallback_reason is None, name
+
+    def test_a_job_that_does_not_pickle_raises(self, honest_session):
+        machine = "player1"
+        monitor = honest_session.monitors[machine]
+        builder = ChunkJobBuilder(honest_session.make_auditor("server", machine),
+                                  machine, portable=True)
+        chunk = next(iter_stream_chunks(monitor))
+        job = builder.job(0, chunk.segment, chunk.start_checkpoint,
+                          initial_state={"unpicklable": lambda: None})
+        with pytest.raises(Exception, match="pickle"):
+            AuditScheduler(workers=2, executor="process").run_jobs([job, job])
+
+
+class TestReplayMerge:
+    def test_every_counter_is_summed_or_absolute(self):
+        counters = {f.name for f in dataclasses.fields(ReplayReport)} \
+            - {"machine", "active_seconds", "divergence"}
+        assert counters == set(SUMMED_COUNTERS) | set(ABSOLUTE_COUNTERS)
+        assert not set(SUMMED_COUNTERS) & set(ABSOLUTE_COUNTERS)
+
+    def test_merge_sums_work_and_keeps_the_last_absolute_count(self):
+        first = ReplayReport(machine="m", entries_replayed=3,
+                             upstream_calls_served=2, instructions_executed=50)
+        second = ReplayReport(machine="m", entries_replayed=4,
+                              upstream_calls_served=1, instructions_executed=90)
+        merged = merge_replay_reports("m", [first, second], active_seconds=5.0)
+        assert merged == ReplayReport(machine="m", entries_replayed=7,
+                                      upstream_calls_served=3,
+                                      instructions_executed=90,
+                                      active_seconds=5.0)
+
+
+class TestSchemeVerifySeconds:
+    def test_unregistered_key_costs_nothing_and_is_counted(self, keystore):
+        obs = Observability.make()
+        assert scheme_verify_seconds(keystore, "nobody", obs) == 0.0
+        assert obs.metrics.value("audit.scheme_cost_unknown") == 1
+
+    def test_other_errors_propagate(self):
+        class UnknownScheme:
+            scheme_name = "no-such-scheme"
+
+        class Keys:
+            def verify_key_for(self, identity):
+                return UnknownScheme()
+
+        with pytest.raises(SignatureError):
+            scheme_verify_seconds(Keys(), "alice")

@@ -30,7 +30,7 @@ import repro.obs
 from repro.adversary.catalog import make_adversary
 from repro.adversary.matrix import CellSpec, MatrixReport, ScenarioMatrix
 from repro.audit.auditor import Auditor
-from repro.audit.engine import AuditScheduler
+from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.spot_check import SpotChecker
 from repro.audit.stream import stream_audit
 from repro.experiments import adversary_matrix
@@ -105,6 +105,49 @@ class TestWallSeconds:
         result = fleet.make_auditor(machine).audit(fleet.monitors[machine])
         relabeled = dataclasses.replace(result, wall_seconds=12345.0)
         assert relabeled == result
+
+
+class TestChunkTelemetry:
+    """Every executor records the same per-chunk telemetry in the parent."""
+
+    CHUNK_HISTOGRAMS = ("audit.chunk.verify_seconds",
+                        "audit.chunk.signature_seconds",
+                        "audit.chunk.replay_seconds")
+
+    def _assert_one_observation_per_chunk(self, obs, chunks):
+        assert chunks > 1
+        for name in self.CHUNK_HISTOGRAMS:
+            assert obs.metrics.get(name).count == chunks, name
+        assert obs.metrics.value("audit.chunks_total") == chunks
+        assert sum(1 for span in obs.tracer.spans
+                   if span.name == "audit.chunk") == chunks
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_fleet_audit_records_every_chunk(self, archived_fleet, executor):
+        fleet, _ = archived_fleet
+        obs = Observability.make()
+        assignments = []
+        for machine in fleet.machines:
+            auditor = fleet.make_auditor(machine)
+            auditor.obs = obs
+            assignments.append(AuditAssignment(auditor,
+                                               fleet.monitors[machine]))
+        report = AuditScheduler(workers=2, executor=executor) \
+            .audit_fleet(assignments)
+        assert report.all_passed
+        self._assert_one_observation_per_chunk(obs, report.chunk_count)
+
+    def test_spot_check_sweep_records_every_chunk(self, archived_fleet):
+        fleet, _ = archived_fleet
+        machine = fleet.machines[0]
+        obs = Observability.make()
+        auditor = fleet.make_auditor(machine)
+        auditor.obs = obs
+        auditor.workers = 2
+        chunks = SpotChecker(auditor).check_all_chunks(
+            fleet.monitors[machine], k=1)
+        assert all(chunk.ok for chunk in chunks)
+        self._assert_one_observation_per_chunk(obs, len(chunks))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Differential tests: streaming audit == materializing audit.
 
-The streaming pipeline's contract (:mod:`repro.audit.stream`) is that a
+The audit pipeline's contract (:mod:`repro.audit.stream`) is that a
 streamed audit of an archived log is *structurally identical* — verdict,
 phase, reason, counters, replay report, evidence and modelled costs — to the
 serial materializing audit of the same archive, which in turn equals the
-in-memory audit of the live machine (established in PR 2).  The fast tests
-check this on a small archived fleet, on truncated (GC'd) archives, on the
-engine and spot-check front-ends, and on a representative subset of
-adversary scenarios; the slow tests sweep every adversary class over both
-workloads and the 16-machine archived fleet.  Any divergence fails with the
-offending cell printed.
+in-memory audit of the live machine.  The fast tests check this on a small
+archived fleet, on the web service (whose replay serves upstream calls), on
+truncated (GC'd) archives, on the scheduler and spot-check front-ends, and
+on a representative subset of adversary scenarios; the slow tests sweep
+every adversary class over both workloads and the 16-machine archived
+fleet.  Any divergence fails with the offending cell printed.
 """
 
 from __future__ import annotations
@@ -20,12 +20,15 @@ import pytest
 
 from repro.adversary.catalog import adversary_names, make_adversary
 from repro.adversary.matrix import WORKLOADS, CellSpec, ScenarioMatrix
+from repro.audit.auditor import Auditor
 from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.spot_check import SpotChecker
 from repro.audit.stream import stream_audit
 from repro.audit.verdict import Verdict
+from repro.avmm.config import Configuration
 from repro.errors import ReproError
-from repro.experiments.parallel_audit import build_fleet
+from repro.experiments import webload
+from repro.experiments.parallel_audit import build_fleet, drain_fleet_to_archive
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
 
@@ -106,15 +109,11 @@ class TestArchivedFleetEquivalence:
         for machine in fleet.machines:
             serial = _prepared_auditor(fleet, service, machine).audit(
                 service.target_for(machine), streaming=False)
-            assert engine_report.results[machine].verdict is serial.verdict
-            assert engine_report.results[machine].verdict is Verdict.PASS
-            # Chunk VMs restore absolute instruction counters from boundary
-            # snapshots; the merged fast-path report must not double-count.
-            merged = engine_report.results[machine].replay_report
-            assert merged.instructions_executed == \
-                serial.replay_report.instructions_executed
-            assert merged.entries_replayed == \
-                serial.replay_report.entries_replayed
+            assert serial.verdict is Verdict.PASS
+            assert engine_report.results[machine] == serial, \
+                f"engine vs serial diverged for {machine}"
+            assert engine_report.machine_reports[machine].stats \
+                .fallback_reason is None
 
     def test_spot_checker_lazy_source_matches(self, archived_fleet):
         fleet, root = archived_fleet
@@ -132,6 +131,45 @@ class TestArchivedFleetEquivalence:
         assert report.ok
         assert report.entries_total == sum(
             len(s) for s in target.get_snapshot_segments())
+
+
+@pytest.fixture(scope="module")
+def web_archive(tmp_path_factory):
+    """A small archived run of the benchmark's web service."""
+    model = webload.LoadModel(users=40, seed=1, arrival_rate=400.0)
+    run = webload._record(Configuration.AVMM_RSA768, model.plan(), model,
+                          webload.WebServiceSettings(),
+                          archive_root=tmp_path_factory.mktemp("web"),
+                          snapshot_interval=0.5)
+    drain_fleet_to_archive(run.scheduler, run.monitors)
+    return run
+
+
+def test_web_server_audits_identically_on_every_path(web_archive):
+    """Streamed, scheduler (inline and thread) and serial audits of the web
+    server agree exactly, including the upstream calls replay served."""
+    run = web_archive
+    machine = webload.SERVER
+    target = run.ingest.target_for(machine)
+
+    def prepared():
+        auditor = Auditor("auditor", run.keystore,
+                          run.reference_images[machine])
+        run.ingest.prepare_auditor(auditor, machine)
+        return auditor
+
+    serial = prepared().audit(target, streaming=False)
+    streamed = stream_audit(prepared(), target, max_chunks=50)
+    assert streamed.stats.chunks > 1
+    assert streamed.stats.fallback_reason is None
+    results = {"serial": serial, "streamed": streamed.result}
+    for executor in ("inline", "thread"):
+        results[executor] = AuditScheduler(workers=2, executor=executor) \
+            .audit_machine(prepared(), target)
+    for path, result in results.items():
+        assert result.verdict is Verdict.PASS, path
+        assert result.replay_report.upstream_calls_served > 0, path
+        assert result == serial, f"{path} vs serial diverged"
 
 
 class TestReviewRegressions:
